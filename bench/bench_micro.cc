@@ -78,13 +78,44 @@ BM_Ed25519Sign(benchmark::State &state)
 BENCHMARK(BM_Ed25519Sign);
 
 void
+BM_Ed25519Verify(benchmark::State &state)
+{
+    Bytes seed(32, 0x42);
+    Bytes msg(64, 0x24);
+    Bytes pub = ed25519PublicKey(seed);
+    Bytes sig = ed25519Sign(seed, msg);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ed25519Verify(pub, msg, sig));
+}
+BENCHMARK(BM_Ed25519Verify);
+
+void
+BM_Ed25519PublicKey(benchmark::State &state)
+{
+    Bytes seed(32, 0x42);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ed25519PublicKey(seed));
+}
+BENCHMARK(BM_Ed25519PublicKey);
+
+void
 BM_X25519(benchmark::State &state)
+{
+    Bytes scalar(32, 0x55);
+    Bytes point = x25519Base(Bytes(32, 0x66));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(x25519(scalar, point));
+}
+BENCHMARK(BM_X25519);
+
+void
+BM_X25519Base(benchmark::State &state)
 {
     Bytes scalar(32, 0x55);
     for (auto _ : state)
         benchmark::DoNotOptimize(x25519Base(scalar));
 }
-BENCHMARK(BM_X25519);
+BENCHMARK(BM_X25519Base);
 
 void
 BM_TlbLookup(benchmark::State &state)

@@ -1,8 +1,8 @@
 #include "crypto/ed25519.hh"
 
-#include <cstring>
+#include <utility>
 
-#include "crypto/fe25519.hh"
+#include "crypto/ge25519.hh"
 #include "crypto/sha512.hh"
 #include "sim/logging.hh"
 
@@ -17,26 +17,15 @@ using u128 = unsigned __int128;
 
 // ----- scalar arithmetic mod the group order L -----
 
-/** 256-bit little-endian integer in 4x64-bit words (plus headroom). */
+/** Little-endian integer in 64-bit words, the fifth for headroom. */
 struct U256
 {
     u64 w[5] = {0, 0, 0, 0, 0};
 };
 
-const U256 &
-orderL()
-{
-    // L = 2^252 + 27742317777372353535851937790883648493
-    static const U256 l = [] {
-        U256 v;
-        v.w[0] = 0x5812631a5cf5d3edULL;
-        v.w[1] = 0x14def9dea2f79cd6ULL;
-        v.w[2] = 0;
-        v.w[3] = 0x1000000000000000ULL;
-        return v;
-    }();
-    return l;
-}
+// L = 2^252 + 27742317777372353535851937790883648493
+constexpr U256 orderL = {{0x5812631a5cf5d3edULL, 0x14def9dea2f79cd6ULL, 0,
+                          0x1000000000000000ULL, 0}};
 
 bool
 geq(const U256 &a, const U256 &b)
@@ -48,47 +37,43 @@ geq(const U256 &a, const U256 &b)
     return true;
 }
 
-void
-sub(U256 &a, const U256 &b)
-{
-    u64 borrow = 0;
-    for (int i = 0; i < 5; ++i) {
-        u128 d = (u128)a.w[i] - b.w[i] - borrow;
-        a.w[i] = (u64)d;
-        borrow = (d >> 64) ? 1 : 0;
-    }
-}
-
-/** a = 2a + bit, then reduce mod L. */
-void
-shiftInBit(U256 &a, bool bit)
-{
-    u64 carry = bit ? 1 : 0;
-    for (int i = 0; i < 5; ++i) {
-        u64 next = a.w[i] >> 63;
-        a.w[i] = (a.w[i] << 1) | carry;
-        carry = next;
-    }
-    if (geq(a, orderL()))
-        sub(a, orderL());
-}
-
-/** Reduce a bit string (big-endian bit order over LE bytes) mod L. */
+/**
+ * Reduce a little-endian byte string mod L, folding in one byte at a
+ * time from the top: r = 256r + byte, then r -= qL with q = r >> 252.
+ * Since 2^252 < L < 2^252 + 2^125, q is the true quotient or one more,
+ * so at most one L goes back in.
+ */
 U256
-reduceBitsModL(const std::uint8_t *le_bytes, std::size_t len)
+reduceModL(const std::uint8_t *le_bytes, std::size_t len)
 {
     U256 r;
     for (std::size_t i = len; i-- > 0;) {
-        for (int bit = 7; bit >= 0; --bit)
-            shiftInBit(r, (le_bytes[i] >> bit) & 1);
+        // r < L < 2^253, so 256r + byte < 2^261 fits the five words.
+        for (int k = 4; k > 0; --k)
+            r.w[k] = (r.w[k] << 8) | (r.w[k - 1] >> 56);
+        r.w[0] = (r.w[0] << 8) | le_bytes[i];
+
+        const u64 q = (r.w[3] >> 60) | (r.w[4] << 4);
+        u128 carry = 0;
+        u64 borrow = 0;
+        for (int k = 0; k < 5; ++k) {
+            u128 prod = (u128)q * orderL.w[k] + carry;
+            carry = prod >> 64;
+            u128 diff = (u128)r.w[k] - (u64)prod - borrow;
+            r.w[k] = (u64)diff;
+            borrow = (u64)(diff >> 64) & 1;
+        }
+        if (borrow) {
+            // q was one too many: add L back (mod 2^320).
+            u128 sum = 0;
+            for (int k = 0; k < 5; ++k) {
+                sum += (u128)r.w[k] + orderL.w[k];
+                r.w[k] = (u64)sum;
+                sum >>= 64;
+            }
+        }
     }
     return r;
-}
-
-U256
-scFromBytes(const std::uint8_t le_bytes[32])
-{
-    return reduceBitsModL(le_bytes, 32);
 }
 
 void
@@ -100,11 +85,12 @@ scToBytes(std::uint8_t out[32], const U256 &a)
     }
 }
 
-/** (a * b + c) mod L. */
+/** (a * b + c) mod L, for a, b, c < L. */
 U256
 scMulAdd(const U256 &a, const U256 &b, const U256 &c)
 {
-    u64 prod[9] = {0};
+    // a * b + c < 2^507: eight words.
+    u64 prod[8] = {0};
     for (int i = 0; i < 4; ++i) {
         u128 carry = 0;
         for (int j = 0; j < 4; ++j) {
@@ -112,21 +98,19 @@ scMulAdd(const U256 &a, const U256 &b, const U256 &c)
             prod[i + j] = (u64)v;
             carry = v >> 64;
         }
-        prod[i + 4] += (u64)carry;
+        prod[i + 4] = (u64)carry;
     }
-    // add c
     u128 carry = 0;
-    for (int i = 0; i < 9; ++i) {
-        u128 v = (u128)prod[i] + (i < 5 ? c.w[i] : 0) + carry;
+    for (int i = 0; i < 8; ++i) {
+        u128 v = (u128)prod[i] + (i < 4 ? c.w[i] : 0) + carry;
         prod[i] = (u64)v;
         carry = v >> 64;
     }
-    // reduce the 576-bit value mod L bit by bit
-    std::uint8_t le[72];
-    for (int i = 0; i < 9; ++i)
+    std::uint8_t le[64];
+    for (int i = 0; i < 8; ++i)
         for (int j = 0; j < 8; ++j)
             le[8 * i + j] = static_cast<std::uint8_t>(prod[i] >> (8 * j));
-    return reduceBitsModL(le, 72);
+    return reduceModL(le, 64);
 }
 
 bool
@@ -137,218 +121,70 @@ scIsCanonical(const std::uint8_t le_bytes[32])
         for (int j = 0; j < 8; ++j)
             v.w[i] |= (u64)le_bytes[8 * i + j] << (8 * j);
     }
-    return !geq(v, orderL());
+    return !geq(v, orderL);
 }
 
-// ----- group arithmetic (extended twisted Edwards coordinates) -----
-
-struct GeP
+/** Finish @p h and reduce its 64-byte digest mod L. */
+U256
+hashModL(Sha512 &h)
 {
-    Fe x, y, z, t;
-};
-
-struct Constants
-{
-    Fe d;
-    Fe d2;
-    GeP base;
-
-    Constants()
-    {
-        // d = -121665/121666
-        d = feMul(feNeg(feFromUint(121665)),
-                  feInvert(feFromUint(121666)));
-        d2 = feAdd(d, d);
-
-        // Base point: y = 4/5, x recovered with even sign.
-        Fe by = feMul(feFromUint(4), feInvert(feFromUint(5)));
-        Fe bx = recoverX(by, false);
-        base.x = bx;
-        base.y = by;
-        base.z = feOne();
-        base.t = feMul(bx, by);
-    }
-
-    /** x from y and the sign bit; panics if y is not on the curve. */
-    Fe
-    recoverX(const Fe &y, bool sign) const
-    {
-        Fe y2 = feSq(y);
-        Fe u = feSub(y2, feOne());
-        Fe v = feAdd(feMul(d, y2), feOne());
-        Fe x = recoverXChecked(u, v, sign);
-        panicIf(feIsZero(x) && !feIsZero(u),
-                "recoverX: point not on the curve");
-        return x;
-    }
-
-    /** Returns x with v*x^2 == u, adjusted to @p sign; zero if none. */
-    static Fe
-    recoverXChecked(const Fe &u, const Fe &v, bool sign)
-    {
-        // x = u * v^3 * (u * v^7)^((p-5)/8)
-        Fe v3 = feMul(feSq(v), v);
-        Fe v7 = feMul(feSq(v3), v);
-        Fe x = feMul(feMul(u, v3), fePow2523(feMul(u, v7)));
-
-        Fe vx2 = feMul(v, feSq(x));
-        if (!feEqual(vx2, u)) {
-            if (feEqual(vx2, feNeg(u))) {
-                x = feMul(x, feSqrtM1());
-            } else {
-                return feZero(); // not a quadratic residue: invalid
-            }
-        }
-        if (feIsNegative(x) != sign)
-            x = feNeg(x);
-        return x;
-    }
-};
-
-const Constants &
-consts()
-{
-    static const Constants c;
-    return c;
-}
-
-GeP
-geIdentity()
-{
-    return {feZero(), feOne(), feOne(), feZero()};
-}
-
-/** Unified point addition (add-2008-hwcd-3); valid for doubling. */
-GeP
-geAdd(const GeP &p, const GeP &q)
-{
-    const Constants &c = consts();
-    Fe a = feMul(feSub(p.y, p.x), feSub(q.y, q.x));
-    Fe b = feMul(feAdd(p.y, p.x), feAdd(q.y, q.x));
-    Fe cc = feMul(feMul(p.t, c.d2), q.t);
-    Fe dd = feMul(feAdd(p.z, p.z), q.z);
-    Fe e = feSub(b, a);
-    Fe f = feSub(dd, cc);
-    Fe g = feAdd(dd, cc);
-    Fe h = feAdd(b, a);
-    GeP r;
-    r.x = feMul(e, f);
-    r.y = feMul(g, h);
-    r.t = feMul(e, h);
-    r.z = feMul(f, g);
-    return r;
-}
-
-/** scalar (LE bytes, already < L) times point, double-and-add. */
-GeP
-geScalarMult(const std::uint8_t scalar_le[32], const GeP &p)
-{
-    GeP r = geIdentity();
-    for (int bit = 255; bit >= 0; --bit) {
-        r = geAdd(r, r);
-        if ((scalar_le[bit / 8] >> (bit % 8)) & 1)
-            r = geAdd(r, p);
-    }
-    return r;
-}
-
-GeP
-geScalarMultBase(const std::uint8_t scalar_le[32])
-{
-    return geScalarMult(scalar_le, consts().base);
-}
-
-void
-geCompress(std::uint8_t out[32], const GeP &p)
-{
-    Fe zinv = feInvert(p.z);
-    Fe x = feMul(p.x, zinv);
-    Fe y = feMul(p.y, zinv);
-    feToBytes(out, y);
-    if (feIsNegative(x))
-        out[31] |= 0x80;
-}
-
-bool
-geDecompress(GeP &out, const std::uint8_t in[32])
-{
-    bool sign = (in[31] & 0x80) != 0;
-    Fe y = feFromBytes(in);
-    Fe y2 = feSq(y);
-    Fe u = feSub(y2, feOne());
-    Fe v = feAdd(feMul(consts().d, y2), feOne());
-    Fe x = Constants::recoverXChecked(u, v, sign);
-    if (feIsZero(x) && !feIsZero(u))
-        return false; // not on the curve
-    out.x = x;
-    out.y = y;
-    out.z = feOne();
-    out.t = feMul(x, y);
-    return true;
-}
-
-struct ExpandedKey
-{
-    std::uint8_t scalar[32]; // clamped secret scalar a
-    std::uint8_t prefix[32]; // RFC 8032 nonce prefix
-    std::uint8_t publicKey[32];
-};
-
-ExpandedKey
-expandSeed(const Bytes &seed)
-{
-    fatalIf(seed.size() != 32, "ed25519 seed must be 32 bytes");
-    ExpandedKey k;
-    Bytes h = Sha512::digest(seed);
-    std::memcpy(k.scalar, h.data(), 32);
-    std::memcpy(k.prefix, h.data() + 32, 32);
-    k.scalar[0] &= 248;
-    k.scalar[31] &= 63;
-    k.scalar[31] |= 64;
-    GeP a = geScalarMultBase(k.scalar);
-    geCompress(k.publicKey, a);
-    return k;
+    auto digest = h.finish();
+    return reduceModL(digest.data(), digest.size());
 }
 
 } // namespace
 
+Ed25519Key
+ed25519ExpandSeed(const Bytes &seed)
+{
+    fatalIf(seed.size() != 32, "ed25519 seed must be 32 bytes");
+    Bytes h = Sha512::digest(seed);
+    h[0] &= 248;
+    h[31] &= 63;
+    h[31] |= 64;
+    std::uint8_t pub[32];
+    geCompress(pub, geScalarMultBase(h.data()));
+    Ed25519Key key;
+    key.secret = SecretBytes(std::move(h));
+    key.publicKey.assign(pub, pub + 32);
+    return key;
+}
+
 Bytes
 ed25519PublicKey(const Bytes &seed)
 {
-    ExpandedKey k = expandSeed(seed);
-    return Bytes(k.publicKey, k.publicKey + 32);
+    return ed25519ExpandSeed(seed).publicKey;
 }
 
 Bytes
 ed25519Sign(const Bytes &seed, const Bytes &message)
 {
-    ExpandedKey k = expandSeed(seed);
+    return ed25519Sign(ed25519ExpandSeed(seed), message);
+}
+
+Bytes
+ed25519Sign(const Ed25519Key &key, const Bytes &message)
+{
+    const std::uint8_t *scalar = key.secret.get().data();
+    const std::uint8_t *prefix = scalar + 32;
 
     Sha512 hr;
-    hr.update(k.prefix, 32);
+    hr.update(prefix, 32);
     hr.update(message);
-    auto r_hash = hr.finish();
-    U256 r = reduceBitsModL(r_hash.data(), 64);
+    U256 r = hashModL(hr);
     std::uint8_t r_bytes[32];
     scToBytes(r_bytes, r);
 
-    GeP r_point = geScalarMultBase(r_bytes);
-    std::uint8_t r_enc[32];
-    geCompress(r_enc, r_point);
+    Bytes sig(64);
+    geCompress(sig.data(), geScalarMultBase(r_bytes));
 
     Sha512 hk;
-    hk.update(r_enc, 32);
-    hk.update(k.publicKey, 32);
+    hk.update(sig.data(), 32);
+    hk.update(key.publicKey);
     hk.update(message);
-    auto k_hash = hk.finish();
-    U256 kk = reduceBitsModL(k_hash.data(), 64);
+    U256 k = hashModL(hk);
 
-    U256 a = scFromBytes(k.scalar);
-    U256 s = scMulAdd(kk, a, r);
-
-    Bytes sig(64);
-    std::memcpy(sig.data(), r_enc, 32);
-    scToBytes(sig.data() + 32, s);
+    scToBytes(sig.data() + 32, scMulAdd(k, reduceModL(scalar, 32), r));
     return sig;
 }
 
@@ -361,7 +197,7 @@ ed25519Verify(const Bytes &public_key, const Bytes &message,
     if (!scIsCanonical(signature.data() + 32))
         return false;
 
-    GeP a_point, r_point;
+    GeP3 a_point, r_point;
     if (!geDecompress(a_point, public_key.data()))
         return false;
     if (!geDecompress(r_point, signature.data()))
@@ -371,20 +207,15 @@ ed25519Verify(const Bytes &public_key, const Bytes &message,
     hk.update(signature.data(), 32);
     hk.update(public_key);
     hk.update(message);
-    auto k_hash = hk.finish();
-    U256 k = reduceBitsModL(k_hash.data(), 64);
     std::uint8_t k_bytes[32];
-    scToBytes(k_bytes, k);
+    scToBytes(k_bytes, hashModL(hk));
 
-    // Check S*B == R + k*A.
-    GeP sb = geScalarMultBase(signature.data() + 32);
-    GeP ka = geScalarMult(k_bytes, a_point);
-    GeP rhs = geAdd(r_point, ka);
-
-    std::uint8_t lhs_enc[32], rhs_enc[32];
-    geCompress(lhs_enc, sb);
-    geCompress(rhs_enc, rhs);
-    return std::memcmp(lhs_enc, rhs_enc, 32) == 0;
+    // Check S*B == R + k*A. Comparing the points rather than their
+    // encodings saves two inversions and decides the same: both are
+    // on the curve, where the encoding determines the point.
+    GeP3 sb = geScalarMultBase(signature.data() + 32);
+    GeP3 rhs = geAdd(r_point, geScalarMult(k_bytes, a_point));
+    return geEqual(sb, rhs);
 }
 
 } // namespace hypertee

@@ -3,10 +3,26 @@
 #include <cstring>
 
 #include "crypto/fe25519.hh"
+#include "crypto/ge25519.hh"
 #include "sim/logging.hh"
 
 namespace hypertee
 {
+
+namespace
+{
+
+/** RFC 7748 clamping of a 32-byte scalar into @p k. */
+void
+clampScalar(std::uint8_t k[32], const Bytes &scalar)
+{
+    std::memcpy(k, scalar.data(), 32);
+    k[0] &= 248;
+    k[31] &= 127;
+    k[31] |= 64;
+}
+
+} // namespace
 
 Bytes
 x25519(const Bytes &scalar, const Bytes &point)
@@ -15,10 +31,7 @@ x25519(const Bytes &scalar, const Bytes &point)
             "x25519 arguments must be 32 bytes");
 
     std::uint8_t k[32];
-    std::memcpy(k, scalar.data(), 32);
-    k[0] &= 248;
-    k[31] &= 127;
-    k[31] |= 64;
+    clampScalar(k, scalar);
 
     const Fe x1 = feFromBytes(point.data());
     Fe x2 = feOne(), z2 = feZero();
@@ -61,9 +74,17 @@ x25519(const Bytes &scalar, const Bytes &point)
 Bytes
 x25519Base(const Bytes &scalar)
 {
-    Bytes base(32, 0);
-    base[0] = 9;
-    return x25519(scalar, base);
+    fatalIf(scalar.size() != 32, "x25519 arguments must be 32 bytes");
+
+    std::uint8_t k[32];
+    clampScalar(k, scalar);
+
+    // The base point u = 9 is the image of the Ed25519 base point, so
+    // [k]B on the Edwards curve, through its fixed-base table, mapped
+    // to u = (1 + y) / (1 - y) is the ladder's result.
+    Bytes result(32);
+    feToBytes(result.data(), geMontgomeryU(geScalarMultBase(k)));
+    return result;
 }
 
 } // namespace hypertee

@@ -94,11 +94,12 @@ buildQuote(const KeyManager &km, const Bytes &platform_measurement,
     q.platformMeasurement = platform_measurement;
     q.enclaveMeasurement = enclave_measurement;
     q.akSalt = ak_salt;
-    q.akPublicKey = km.attestationPublicKey(ak_salt);
+    const Ed25519Key ak = km.attestationKey(ak_salt);
+    q.akPublicKey = km.attestationPublicKey(ak);
     q.dhPublic = dh_public;
     q.verifierNonce = verifier_nonce;
     q.platformSig = km.signWithEk(platformSigBody(q));
-    q.enclaveSig = km.signWithAk(ak_salt, enclaveSigBody(q));
+    q.enclaveSig = km.signWithAk(ak, enclaveSigBody(q));
     return q;
 }
 

@@ -1,19 +1,17 @@
 #include "ems/key_manager.hh"
 
-#include "crypto/ed25519.hh"
 #include "crypto/hmac.hh"
 #include "sim/logging.hh"
 
 namespace hypertee
 {
 
-KeyManager::KeyManager(const EFuse &efuse)
-    : _endorsementSeed(efuse.endorsementSeed),
-      _sealedKey(efuse.sealedKey)
+KeyManager::KeyManager(const EFuse &efuse) : _sealedKey(efuse.sealedKey)
 {
-    fatalIf(_endorsementSeed.size() != 32,
+    fatalIf(efuse.endorsementSeed.size() != 32,
             "EK seed must be 32 bytes");
     fatalIf(_sealedKey.size() != 32, "SK must be 32 bytes");
+    _endorsementKey = ed25519ExpandSeed(efuse.endorsementSeed);
 }
 
 Bytes
@@ -29,13 +27,13 @@ KeyManager::derive(const char *label, const Bytes &context,
 Bytes
 KeyManager::endorsementPublicKey() const
 {
-    return ed25519PublicKey(_endorsementSeed.get());
+    return _endorsementKey.publicKey;
 }
 
 Bytes
 KeyManager::signWithEk(const Bytes &message) const
 {
-    return ed25519Sign(_endorsementSeed.get(), message);
+    return ed25519Sign(_endorsementKey, message);
 }
 
 Bytes
@@ -44,16 +42,22 @@ KeyManager::attestationKeySeed(const Bytes &salt) const
     return derive("attestation-key", salt, 32);
 }
 
-Bytes
-KeyManager::attestationPublicKey(const Bytes &salt) const
+Ed25519Key
+KeyManager::attestationKey(const Bytes &salt) const
 {
-    return ed25519PublicKey(attestationKeySeed(salt));
+    return ed25519ExpandSeed(attestationKeySeed(salt));
 }
 
 Bytes
-KeyManager::signWithAk(const Bytes &salt, const Bytes &message) const
+KeyManager::attestationPublicKey(const Ed25519Key &ak) const
 {
-    return ed25519Sign(attestationKeySeed(salt), message);
+    return ak.publicKey;
+}
+
+Bytes
+KeyManager::signWithAk(const Ed25519Key &ak, const Bytes &message) const
+{
+    return ed25519Sign(ak, message);
 }
 
 Bytes

@@ -19,6 +19,7 @@
 #include <cstdint>
 
 #include "crypto/bytes.hh"
+#include "crypto/ed25519.hh"
 #include "sim/types.hh"
 
 namespace hypertee
@@ -58,11 +59,17 @@ class KeyManager
     /** Derive the attestation key seed from SK and a salt. */
     Bytes attestationKeySeed(const Bytes &salt) const;
 
-    /** AK public key for a given salt. */
-    Bytes attestationPublicKey(const Bytes &salt) const;
+    /**
+     * The AK for a salt, expanded from its seed once so that a quote
+     * takes both its public key and its signature from it.
+     */
+    Ed25519Key attestationKey(const Bytes &salt) const;
+
+    /** AK public key. */
+    Bytes attestationPublicKey(const Ed25519Key &ak) const;
 
     /** Sign with AK (enclave certificates). */
-    Bytes signWithAk(const Bytes &salt, const Bytes &message) const;
+    Bytes signWithAk(const Ed25519Key &ak, const Bytes &message) const;
 
     /** Per-enclave memory encryption key (16 bytes, AES-128). */
     Bytes memoryKey(const Bytes &measurement) const;
@@ -80,8 +87,9 @@ class KeyManager
     Bytes derive(const char *label, const Bytes &context,
                  std::size_t len) const;
 
-    SecretBytes _endorsementSeed; ///< EK seed, wiped on destruction
-    SecretBytes _sealedKey;       ///< SK, wiped on destruction
+    /** EK, expanded from its seed once; the secret half is wiped. */
+    Ed25519Key _endorsementKey;
+    SecretBytes _sealedKey; ///< SK, wiped on destruction
 };
 
 } // namespace hypertee

@@ -109,9 +109,13 @@ EmsRuntime::shm(ShmId id) const
 KeyId
 EmsRuntime::assignKeyId(const Bytes &key, Tick &service)
 {
-    KeyId id = _nextKey++;
-    if (_port->configureKey(id, key))
+    KeyId id = nextFreeKeyId(service);
+    if (id == 0)
+        return 0;
+    if (_port->configureKey(id, key)) {
+        _boundKeyIds.set(id);
         return id;
+    }
     // KeyID exhaustion (Section IV-C): suspend a non-running enclave
     // to free a slot; EMCall flushes TLB and caches so the recycled
     // KeyID cannot alias stale lines.
@@ -119,11 +123,42 @@ EmsRuntime::assignKeyId(const Bytes &key, Tick &service)
         if (enc.state == EnclaveState::Measured && enc.keyId != 0) {
             suspendEnclave(eid);
             service += _p.keyRecycleFlushTime;
-            if (_port->configureKey(id, key))
+            if (_port->configureKey(id, key)) {
+                _boundKeyIds.set(id);
                 return id;
+            }
         }
     }
     return 0;
+}
+
+KeyId
+EmsRuntime::nextFreeKeyId(Tick &service)
+{
+    // IDs are handed out in order. Once the counter wraps, every ID
+    // has been used before: skip 0 (the plaintext domain) and the IDs
+    // still bound, and charge the flush of the suspension path, so a
+    // reused ID cannot alias stale lines.
+    for (std::size_t tried = 0; tried < _boundKeyIds.size(); ++tried) {
+        KeyId id = _nextKey++;
+        if (id == 0) {
+            _keyIdsWrapped = true;
+            continue;
+        }
+        if (_boundKeyIds.test(id))
+            continue;
+        if (_keyIdsWrapped)
+            service += _p.keyRecycleFlushTime;
+        return id;
+    }
+    return 0; // every ID is bound
+}
+
+void
+EmsRuntime::releaseKeyId(KeyId id)
+{
+    _port->releaseKey(id);
+    _boundKeyIds.reset(id);
 }
 
 bool
@@ -132,7 +167,7 @@ EmsRuntime::suspendEnclave(EnclaveId id)
     EnclaveControl *enc = liveEnclave(id);
     if (!enc || enc->keyId == 0 || enc->state == EnclaveState::Running)
         return false;
-    _port->releaseKey(enc->keyId);
+    releaseKeyId(enc->keyId);
     enc->keyId = 0;
     enc->state = EnclaveState::Suspended;
     return true;
@@ -509,7 +544,7 @@ EmsRuntime::doDestroy(const PrimitiveRequest &req, Tick &service)
     scrubAndReturn(pt_frames, service);
 
     if (enc->keyId != 0)
-        _port->releaseKey(enc->keyId);
+        releaseKeyId(enc->keyId);
     enc->keyId = 0;
     enc->state = EnclaveState::Destroyed;
 
@@ -807,7 +842,7 @@ EmsRuntime::doShmDes(const PrimitiveRequest &req, Tick &service)
         return reject(PrimStatus::Busy);
 
     scrubAndReturn(shm.pages, service);
-    _port->releaseKey(shm.keyId);
+    releaseKeyId(shm.keyId);
     _shms.erase(it);
 
     PrimitiveResponse resp;

@@ -16,6 +16,7 @@
 #ifndef HYPERTEE_EMS_RUNTIME_HH
 #define HYPERTEE_EMS_RUNTIME_HH
 
+#include <bitset>
 #include <map>
 #include <memory>
 #include <set>
@@ -136,6 +137,8 @@ class EmsRuntime
 
     EnclaveControl *liveEnclave(EnclaveId id);
     KeyId assignKeyId(const Bytes &key, Tick &service);
+    KeyId nextFreeKeyId(Tick &service);
+    void releaseKeyId(KeyId id);
     Addr takePoolPage(EnclaveId owner, PageKind kind, Tick &service);
     void mapEnclavePage(EnclaveControl &enc, Addr va, Addr ppn,
                         std::uint64_t perms, Tick &service);
@@ -176,6 +179,10 @@ class EmsRuntime
     EnclaveId _nextEnclave = 1;
     ShmId _nextShm = 1;
     KeyId _nextKey = 1;
+    /** KeyIDs programmed for a live enclave or shared region. */
+    std::bitset<std::size_t{1} << (8 * sizeof(KeyId))> _boundKeyIds;
+    /** Set once _nextKey has wrapped: every ID has been used before. */
+    bool _keyIdsWrapped = false;
 
     bool _booted = false;
     Bytes _platformMeas;

@@ -6,6 +6,10 @@
 // influences simulated behavior (see the file comment in perf.hh).
 #include <chrono> // htlint: allow(no-wallclock)
 
+#include <cstdlib>
+#include <fstream>
+#include <string>
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
@@ -68,6 +72,20 @@ resetEventsFired()
 std::uint64_t
 peakRssKb()
 {
+#if defined(__linux__)
+    // ru_maxrss keeps the high-water mark of the image that exec'd
+    // this one (a launcher script, say); VmHWM is this image's own.
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmHWM:", 0) == 0) {
+            std::uint64_t kb = std::strtoull(line.c_str() + 6, nullptr, 10);
+            if (kb != 0)
+                return kb;
+            break;
+        }
+    }
+#endif
 #if defined(__unix__) || defined(__APPLE__)
     struct rusage usage;
     if (getrusage(RUSAGE_SELF, &usage) != 0)

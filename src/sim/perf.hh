@@ -89,8 +89,10 @@ std::uint64_t totalInstsRetired();
 void resetEventsFired();
 
 /**
- * Peak resident set size of this process in KiB, from
- * getrusage(RUSAGE_SELF); 0 where unsupported.
+ * Peak resident set size of this process in KiB: VmHWM from
+ * /proc/self/status on Linux, else getrusage(RUSAGE_SELF), whose
+ * ru_maxrss on Linux also carries the high-water mark of the image
+ * that exec'd this one. 0 where neither is supported.
  */
 std::uint64_t peakRssKb();
 

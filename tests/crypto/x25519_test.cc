@@ -33,6 +33,27 @@ TEST(X25519, Rfc7748Vector2)
               "8b595a68799fa152e6f8f7647aac7957");
 }
 
+TEST(X25519, Rfc7748IteratedVector)
+{
+    // RFC 7748 section 5.2: k = u = 9, then repeatedly
+    // (k, u) = (X25519(k, u), k).
+    Bytes k(32, 0);
+    k[0] = 9;
+    Bytes u = k;
+    auto step = [&] {
+        Bytes next = x25519(k, u);
+        u = k;
+        k = next;
+    };
+    step();
+    EXPECT_EQ(toHex(k), "422c8e7a6227d7bca1350b3e2bb7279f"
+                        "7897b87bb6854b783c60e80311ae3079");
+    for (int i = 1; i < 1000; ++i)
+        step();
+    EXPECT_EQ(toHex(k), "684cf59ba83309552800ef566f2f4d3c"
+                        "1c3887c49360e3875f2eb94d99532c51");
+}
+
 TEST(X25519, Rfc7748BasePointAlice)
 {
     // RFC 7748 section 6.1: Alice's key pair.
@@ -41,6 +62,16 @@ TEST(X25519, Rfc7748BasePointAlice)
     EXPECT_EQ(toHex(x25519Base(a)),
               "8520f0098930a754748b7ddcb43ef75a"
               "0dbf3a0d26381af4eba4a98eaa9b4e6a");
+}
+
+TEST(X25519, Rfc7748BasePointBob)
+{
+    // RFC 7748 section 6.1: Bob's key pair.
+    Bytes b = fromHex("5dab087e624a8a4b79e17f8b83800ee6"
+                      "6f3bb1292618b6fd1c2f8b27ff88e0eb");
+    EXPECT_EQ(toHex(x25519Base(b)),
+              "de9edb7d7b7dc1b4d35b61c2ece43537"
+              "3f8343c85b78674dadfc7e146f882b4f");
 }
 
 TEST(X25519, Rfc7748SharedSecret)

@@ -100,7 +100,8 @@ TEST_F(AttestFixture, SwappedAkRejected)
     // Attacker substitutes their own AK public key: the EK chain
     // signature breaks.
     AttestationQuote q = quote();
-    q.akPublicKey = KeyManager(testFuse(9)).attestationPublicKey(salt);
+    KeyManager other(testFuse(9));
+    q.akPublicKey = other.attestationPublicKey(other.attestationKey(salt));
     EXPECT_FALSE(verifyQuote(q, km.endorsementPublicKey(), enclaveMeas,
                              nonce));
 }
@@ -111,8 +112,8 @@ TEST_F(AttestFixture, AkPublicKeyUnderDifferentSaltRejected)
     // salt: AK = KDF(SK, salt), so the enclave signature no longer
     // matches and the EK certificate chain breaks too.
     AttestationQuote q = quote();
-    q.akPublicKey =
-        km.attestationPublicKey(bytesFromString("other-salt"));
+    q.akPublicKey = km.attestationPublicKey(
+        km.attestationKey(bytesFromString("other-salt")));
     EXPECT_FALSE(verifyQuote(q, km.endorsementPublicKey(), enclaveMeas,
                              nonce));
 }
@@ -127,7 +128,8 @@ TEST_F(AttestFixture, EnclaveSigUnderDifferentSaltRejected)
     body.insert(body.end(), q.dhPublic.begin(), q.dhPublic.end());
     body.insert(body.end(), q.verifierNonce.begin(),
                 q.verifierNonce.end());
-    q.enclaveSig = km.signWithAk(bytesFromString("other-salt"), body);
+    q.enclaveSig =
+        km.signWithAk(km.attestationKey(bytesFromString("other-salt")), body);
     EXPECT_FALSE(verifyQuote(q, km.endorsementPublicKey(), enclaveMeas,
                              nonce));
 }

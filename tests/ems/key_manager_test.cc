@@ -30,17 +30,14 @@ TEST(KeyManager, EkSignaturesVerifyAgainstEkPublic)
 TEST(KeyManager, AkDerivationIsSaltDependent)
 {
     KeyManager km(testFuse(1));
-    Bytes salt_a = bytesFromString("salt-a");
-    Bytes salt_b = bytesFromString("salt-b");
-    EXPECT_NE(km.attestationPublicKey(salt_a),
-              km.attestationPublicKey(salt_b));
+    Ed25519Key ak_a = km.attestationKey(bytesFromString("salt-a"));
+    Ed25519Key ak_b = km.attestationKey(bytesFromString("salt-b"));
+    EXPECT_NE(km.attestationPublicKey(ak_a), km.attestationPublicKey(ak_b));
 
     Bytes msg = bytesFromString("quote");
-    Bytes sig = km.signWithAk(salt_a, msg);
-    EXPECT_TRUE(
-        ed25519Verify(km.attestationPublicKey(salt_a), msg, sig));
-    EXPECT_FALSE(
-        ed25519Verify(km.attestationPublicKey(salt_b), msg, sig));
+    Bytes sig = km.signWithAk(ak_a, msg);
+    EXPECT_TRUE(ed25519Verify(km.attestationPublicKey(ak_a), msg, sig));
+    EXPECT_FALSE(ed25519Verify(km.attestationPublicKey(ak_b), msg, sig));
 }
 
 TEST(KeyManager, DerivedKeysAreDomainSeparated)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "ems/runtime.hh"
 
 namespace hypertee
@@ -105,6 +107,71 @@ TEST_F(RuntimeFixture, CreateBuildsEnclaveWithStaticAllocation)
     // Completion time is nonzero and models EMS work.
     EXPECT_GT(r.completedAt, 0u);
     EXPECT_TRUE(r.flags & kFlagFlushTlb);
+}
+
+TEST_F(RuntimeFixture, KeyIdCounterWrapSkipsZeroAndBoundIds)
+{
+    // KeyIDs are 16 bits. Allocate well past 65536 of them through
+    // ECREATE/EDESTROY and ESHMGET/ESHMDES, holding a few IDs the
+    // whole time: after the wrap, allocation must skip 0 and the held
+    // IDs, reuse the released ones, and charge a cache/TLB flush.
+    EnclaveId holder = makeMeasuredEnclave();
+    std::set<KeyId> held = {rt->enclave(holder)->keyId};
+    for (int i = 0; i < 2; ++i) {
+        PrimitiveResponse r = invoke(PrimitiveOp::EShmGet, PrivMode::User,
+                                     {1, PteRead | PteWrite}, holder);
+        ASSERT_EQ(r.status, PrimStatus::Ok);
+        held.insert(rt->shm(static_cast<ShmId>(r.results.at(0)))->keyId);
+    }
+    ASSERT_EQ(held.size(), 3u);
+
+    const Tick flush = EmsRuntimeParams{}.keyRecycleFlushTime;
+    Tick create_before_wrap = 0, shm_before_wrap = 0;
+    std::set<KeyId> seen_after_wrap;
+    for (int cycle = 0; cycle < 70000; ++cycle) {
+        KeyId key = 0;
+        Tick service = 0;
+        if (cycle % 2 == 0) {
+            PrimitiveResponse r = invoke(PrimitiveOp::ECreate,
+                                         PrivMode::Supervisor, {1, 0, 0});
+            ASSERT_EQ(r.status, PrimStatus::Ok) << "cycle " << cycle;
+            EnclaveId id = static_cast<EnclaveId>(r.results.at(0));
+            key = rt->enclave(id)->keyId;
+            service = r.completedAt;
+            ASSERT_EQ(invoke(PrimitiveOp::EDestroy, PrivMode::Supervisor,
+                             {id})
+                          .status,
+                      PrimStatus::Ok);
+        } else {
+            PrimitiveResponse r = invoke(PrimitiveOp::EShmGet,
+                                         PrivMode::User,
+                                         {1, PteRead | PteWrite}, holder);
+            ASSERT_EQ(r.status, PrimStatus::Ok) << "cycle " << cycle;
+            ShmId id = static_cast<ShmId>(r.results.at(0));
+            key = rt->shm(id)->keyId;
+            service = r.completedAt;
+            ASSERT_EQ(invoke(PrimitiveOp::EShmDes, PrivMode::User, {id},
+                             holder)
+                          .status,
+                      PrimStatus::Ok);
+        }
+        ASSERT_NE(key, 0) << "cycle " << cycle;
+        ASSERT_EQ(held.count(key), 0u) << "cycle " << cycle;
+        // The first three IDs went to the held enclave and regions.
+        bool wrapped = cycle + 3 >= 65535;
+        if (!wrapped) {
+            ASSERT_EQ(key, cycle + 4);
+            (cycle % 2 == 0 ? create_before_wrap : shm_before_wrap) =
+                service;
+        } else {
+            seen_after_wrap.insert(key);
+            Tick before = cycle % 2 == 0 ? create_before_wrap
+                                         : shm_before_wrap;
+            ASSERT_EQ(service, before + flush) << "cycle " << cycle;
+        }
+    }
+    EXPECT_EQ(seen_after_wrap.size(), 70000u - (65535u - 3u));
+    EXPECT_EQ(*seen_after_wrap.begin(), 4);
 }
 
 TEST_F(RuntimeFixture, CreateRejectsBadConfig)

@@ -35,6 +35,7 @@ sourceNames()
         "sealedKey",        "endorsementSeed", "memoryKey",
         "sealingKey",       "reportKey",       "attestationKeySeed",
         "sharedMemoryKey",  "_sealedKey",      "_endorsementSeed",
+        "attestationKey",   "_endorsementKey",
     };
     return names;
 }
