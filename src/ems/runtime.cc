@@ -78,11 +78,7 @@ EnclaveControl *
 EmsRuntime::liveEnclave(EnclaveId id)
 {
     auto it = _enclaves.find(id);
-    if (it == _enclaves.end())
-        return nullptr;
-    if (it->second.state == EnclaveState::Destroyed)
-        return nullptr;
-    return &it->second;
+    return it == _enclaves.end() ? nullptr : &it->second;
 }
 
 const EnclaveControl *
@@ -545,8 +541,9 @@ EmsRuntime::doDestroy(const PrimitiveRequest &req, Tick &service)
 
     if (enc->keyId != 0)
         releaseKeyId(enc->keyId);
-    enc->keyId = 0;
-    enc->state = EnclaveState::Destroyed;
+    // Nothing is left to keep: drop the control structure so the
+    // enclave table holds live enclaves only.
+    _enclaves.erase(id);
 
     PrimitiveResponse resp;
     resp.flags = kFlagFlushTlb | kFlagExitEnclave;

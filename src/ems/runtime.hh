@@ -98,6 +98,7 @@ class EmsRuntime
     PrimitiveResponse handle(const PrimitiveRequest &req);
 
     // ---- introspection (tests, benches, EmCall hook wiring) ----
+    /** Live enclave's control block; nullptr once destroyed. */
     const EnclaveControl *enclave(EnclaveId id) const;
     const PageTable *enclavePageTable(EnclaveId id) const;
     const ShmControl *shm(ShmId id) const;

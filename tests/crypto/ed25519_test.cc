@@ -255,11 +255,14 @@ TEST(Ed25519, VerifyKeepsNonCanonicalYSemantics)
     // S = 0, S*B == R + k*A for every message, whether y is encoded
     // as 1 or as p + 1, and whatever the x sign bit says.
     Bytes msg = bytesFromString("any message");
-    Bytes zero_s(32, 0);
+    auto with_zero_s = [](const Bytes &r) {
+        Bytes sig(64, 0);
+        std::copy(r.begin(), r.end(), sig.begin());
+        return sig;
+    };
     for (const Bytes &a : {encodeSmallY(1), encodeNonCanonicalY(1)}) {
         for (const Bytes &r : {encodeSmallY(1), encodeNonCanonicalY(1)}) {
-            Bytes sig = r;
-            sig.insert(sig.end(), zero_s.begin(), zero_s.end());
+            Bytes sig = with_zero_s(r);
             EXPECT_TRUE(ed25519Verify(a, msg, sig));
             Bytes a_signed = a;
             a_signed[31] |= 0x80;
@@ -267,8 +270,7 @@ TEST(Ed25519, VerifyKeepsNonCanonicalYSemantics)
         }
     }
     // y = p + 2 reduces to 2, which is off the curve either way.
-    Bytes sig = encodeSmallY(1);
-    sig.insert(sig.end(), zero_s.begin(), zero_s.end());
+    Bytes sig = with_zero_s(encodeSmallY(1));
     EXPECT_FALSE(ed25519Verify(encodeNonCanonicalY(2), msg, sig));
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "ems/runtime.hh"
 
@@ -396,7 +397,7 @@ TEST_F(RuntimeFixture, DestroyScrubsEverything)
     PrimitiveResponse r =
         invoke(PrimitiveOp::EDestroy, PrivMode::Supervisor, {id});
     ASSERT_EQ(r.status, PrimStatus::Ok);
-    EXPECT_EQ(rt->enclave(id)->state, EnclaveState::Destroyed);
+    EXPECT_EQ(rt->enclave(id), nullptr);
     EXPECT_FALSE(enc.hasKey(key));
     for (Addr ppn : pages) {
         EXPECT_FALSE(bitmap.isEnclavePage(ppn));
@@ -406,6 +407,36 @@ TEST_F(RuntimeFixture, DestroyScrubsEverything)
     EXPECT_EQ(invoke(PrimitiveOp::EEnter, PrivMode::Supervisor, {id})
                   .status,
               PrimStatus::NotFound);
+}
+
+TEST_F(RuntimeFixture, DestroyErasesTheControlBlock)
+{
+    // The enclave table holds live enclaves only: create/destroy
+    // cycles must not leave entries behind.
+    EnclaveId holder = makeMeasuredEnclave();
+    std::vector<EnclaveId> destroyed;
+    for (int cycle = 0; cycle < 1000; ++cycle) {
+        PrimitiveResponse r = invoke(PrimitiveOp::ECreate,
+                                     PrivMode::Supervisor, {1, 0, 0});
+        ASSERT_EQ(r.status, PrimStatus::Ok) << "cycle " << cycle;
+        EnclaveId id = static_cast<EnclaveId>(r.results.at(0));
+        ASSERT_NE(rt->enclave(id), nullptr);
+        ASSERT_EQ(invoke(PrimitiveOp::EDestroy, PrivMode::Supervisor, {id})
+                      .status,
+                  PrimStatus::Ok);
+        destroyed.push_back(id);
+    }
+    for (EnclaveId id : destroyed) {
+        EXPECT_EQ(rt->enclave(id), nullptr) << "enclave " << id;
+        EXPECT_EQ(rt->enclavePageTable(id), nullptr);
+    }
+    // A second EDESTROY of any of them is NotFound.
+    for (EnclaveId id : {destroyed.front(), destroyed.back()})
+        EXPECT_EQ(invoke(PrimitiveOp::EDestroy, PrivMode::Supervisor,
+                         {id})
+                      .status,
+                  PrimStatus::NotFound);
+    EXPECT_NE(rt->enclave(holder), nullptr);
 }
 
 TEST_F(RuntimeFixture, WbReturnsRandomizedEncryptedPoolPages)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ems/service_sim.hh"
 
 namespace hypertee
@@ -49,18 +51,27 @@ TEST(ServiceSim, TwoServersServeConcurrently)
         << "no serialization with a second EMS core";
 }
 
+/** "c<i>", appended rather than prepended to the number's string. */
+std::string
+clientName(int i)
+{
+    std::string name = "c";
+    name += std::to_string(i);
+    return name;
+}
+
 TEST(ServiceSim, MoreServersImproveTailLatency)
 {
     auto p99 = [](unsigned cores) {
         EmsServiceSim sim(quiet(cores));
         for (int c = 0; c < 8; ++c) {
-            sim.addClient("c" + std::to_string(c), 50,
+            sim.addClient(clientName(c), 50,
                           [](std::uint64_t) { return Tick(2'000'000); });
         }
         sim.run();
         std::vector<Tick> all;
         for (int c = 0; c < 8; ++c) {
-            const auto &l = sim.latencies("c" + std::to_string(c));
+            const auto &l = sim.latencies(clientName(c));
             all.insert(all.end(), l.begin(), l.end());
         }
         std::sort(all.begin(), all.end());
