@@ -1,5 +1,8 @@
 #include "ems/runtime.hh"
 
+#include <algorithm>
+#include <unordered_set>
+
 #include "crypto/aes128.hh"
 #include "crypto/sha256.hh"
 #include "crypto/x25519.hh"
@@ -8,6 +11,36 @@
 
 namespace hypertee
 {
+
+namespace
+{
+
+/**
+ * Remove every frame of the non-empty @p freed from @p pages and keep
+ * the order of the rest: the list one std::erase per frame leaves,
+ * provided @p pages holds each frame at most once (the ownership
+ * table makes that so for an enclave's private frames). The cost
+ * does not grow per freed frame with pages.size().
+ */
+void
+eraseFrames(std::vector<Addr> &pages, const std::vector<Addr> &freed)
+{
+    // One EALLOC pushes its frames as one run in VA order, so an
+    // EFREE of that region, or of a piece of it, finds them as one
+    // run: locate it and close the gap with one move.
+    auto run = std::find(pages.begin(), pages.end(), freed.front());
+    if (static_cast<std::size_t>(pages.end() - run) >= freed.size() &&
+        std::equal(freed.begin(), freed.end(), run)) {
+        pages.erase(run, run + static_cast<std::ptrdiff_t>(freed.size()));
+        return;
+    }
+    // Any other layout: one order-preserving pass with an O(1)
+    // membership test per element.
+    const std::unordered_set<Addr> gone(freed.begin(), freed.end());
+    std::erase_if(pages, [&gone](Addr ppn) { return gone.count(ppn) != 0; });
+}
+
+} // namespace
 
 EmsRuntime::EmsRuntime(EmsPort *port, PhysicalMemory *cs_mem,
                        const KeyManager &km,
@@ -261,6 +294,16 @@ EmsRuntime::scrubAndReturn(const std::vector<Addr> &ppns, Tick &service)
     _pool->release(ppns);
 }
 
+void
+EmsRuntime::releasePageTable(EnclaveControl &enc, Tick &service)
+{
+    std::vector<Addr> pt_frames;
+    for (Addr frame : enc.pageTable->tableFrames())
+        pt_frames.push_back(pageNumber(frame));
+    enc.pageTable.reset();
+    scrubAndReturn(pt_frames, service);
+}
+
 PrimitiveResponse
 EmsRuntime::handle(const PrimitiveRequest &req)
 {
@@ -385,8 +428,14 @@ EmsRuntime::doCreate(const PrimitiveRequest &req, Tick &service)
     // interleaved.
     std::vector<Addr> frames =
         _pool->allocate(cfg.stackPages + cfg.heapPages);
-    if (frames.size() != cfg.stackPages + cfg.heapPages)
+    if (frames.size() != cfg.stackPages + cfg.heapPages) {
+        // Undo what the enclave already holds: its KeyID, the table
+        // root drawn from the pool, and the control block.
+        releaseKeyId(e.keyId);
+        releasePageTable(e, service);
+        _enclaves.erase(it);
         return reject(PrimStatus::OutOfMemory);
+    }
     for (Addr ppn : frames) {
         _port->zeroCs(ppn << pageShift, pageSize);
         bool claimed = _ownership.claim(ppn, id, PageKind::Private);
@@ -533,11 +582,7 @@ EmsRuntime::doDestroy(const PrimitiveRequest &req, Tick &service)
     // Scrub every private page and page-table frame, then recycle.
     scrubAndReturn(enc->pages, service);
     enc->pages.clear();
-    std::vector<Addr> pt_frames;
-    for (Addr frame : enc->pageTable->tableFrames())
-        pt_frames.push_back(pageNumber(frame));
-    enc->pageTable.reset();
-    scrubAndReturn(pt_frames, service);
+    releasePageTable(*enc, service);
 
     if (enc->keyId != 0)
         releaseKeyId(enc->keyId);
@@ -602,25 +647,32 @@ EmsRuntime::doFree(const PrimitiveRequest &req, Tick &service)
     if (!enc)
         return reject(PrimStatus::NotFound);
     Addr va = pageAlign(req.args[0]);
+    // n comes from the enclave: nothing is sized by it until it is
+    // bounded by the private pages the enclave could free at all.
     std::size_t n = req.args[1];
-    if (n == 0)
+    if (n == 0 || n > enc->pages.size())
         return reject(PrimStatus::InvalidArgument);
 
-    std::vector<Addr> freed;
+    // Validate every page before changing anything, so a reject
+    // leaves the page table, page list, ownership, bitmap and pool
+    // as they were.
+    std::vector<Addr> freed(n);
+    std::vector<Addr> ptes(n);
     for (std::size_t i = 0; i < n; ++i) {
         WalkResult walk = enc->pageTable->walk(va + i * pageSize);
         if (!walk.valid)
             return reject(PrimStatus::NotFound);
-        Addr ppn = pageNumber(walk.pa);
-        if (!_ownership.ownedBy(ppn, enc->id))
+        freed[i] = pageNumber(walk.pa);
+        ptes[i] = walk.pteAddr;
+        const PageOwner *owner = _ownership.lookup(freed[i]);
+        if (!owner || owner->owner != enc->id ||
+            owner->kind != PageKind::Private)
             return reject(PrimStatus::PermissionDenied);
-        const PageOwner *owner = _ownership.lookup(ppn);
-        if (owner->kind != PageKind::Private)
-            return reject(PrimStatus::PermissionDenied);
-        enc->pageTable->unmap(va + i * pageSize);
-        freed.push_back(ppn);
-        std::erase(enc->pages, ppn);
     }
+
+    for (Addr pte : ptes)
+        enc->pageTable->unmapLeaf(pte);
+    eraseFrames(enc->pages, freed);
     scrubAndReturn(freed, service);
 
     PrimitiveResponse resp;

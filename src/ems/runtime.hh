@@ -144,6 +144,8 @@ class EmsRuntime
     void mapEnclavePage(EnclaveControl &enc, Addr va, Addr ppn,
                         std::uint64_t perms, Tick &service);
     void scrubAndReturn(const std::vector<Addr> &ppns, Tick &service);
+    /** Scrub the enclave's table frames back to the pool; drop it. */
+    void releasePageTable(EnclaveControl &enc, Tick &service);
 
     PrimitiveResponse doCreate(const PrimitiveRequest &, Tick &);
     PrimitiveResponse doAdd(const PrimitiveRequest &, Tick &);

@@ -122,7 +122,7 @@ PageTable::unmap(Addr va)
     WalkResult res = walk(va);
     if (!res.valid)
         return false;
-    _mem->write64(res.pteAddr, 0);
+    unmapLeaf(res.pteAddr);
     return true;
 }
 

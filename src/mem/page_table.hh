@@ -78,6 +78,12 @@ class PageTable
     /** Remove a leaf mapping; returns false when none existed. */
     bool unmap(Addr va);
 
+    /**
+     * Remove the leaf mapping whose PTE sits at @p pte_addr (the
+     * WalkResult::pteAddr of a valid walk): unmap() without the walk.
+     */
+    void unmapLeaf(Addr pte_addr) { _mem->write64(pte_addr, 0); }
+
     /** Software walk (no timing); used by the walker model and EMS. */
     WalkResult walk(Addr va) const;
 

@@ -44,6 +44,7 @@ Tlb::insert(Addr va, Addr pa, std::uint64_t perms, KeyId key_id,
         }
         victim = &_entries[b + vw];
     }
+    _live += victim->valid ? 0 : 1;
     victim->valid = true;
     victim->vpn = vpn;
     victim->ppn = pageNumber(pa);
@@ -60,13 +61,14 @@ void
 Tlb::flushAll()
 {
     ++_flushRequests;
-    std::uint64_t killed = 0;
-    for (auto &e : _entries) {
-        if (e.valid)
-            ++killed;
-        e.valid = false;
+    const std::uint64_t killed = _live;
+    if (killed != 0) {
+        for (auto &e : _entries)
+            e.valid = false;
+        std::fill(_probeValid.begin(), _probeValid.end(),
+                  std::uint8_t(0));
+        _live = 0;
     }
-    std::fill(_probeValid.begin(), _probeValid.end(), std::uint8_t(0));
     _invalidations += killed;
     // A full flush is one real flush operation even on an empty TLB:
     // the hardware walks every set regardless.
@@ -84,6 +86,7 @@ Tlb::flushPage(Addr va)
         return; // no matching entry: nothing was flushed
     e->valid = false;
     _probeValid[static_cast<std::size_t>(e - _entries.data())] = 0;
+    --_live;
     ++_invalidations;
     ++_flushes;
     HT_TRACE_INSTANT1(TraceCategory::Tlb, "tlb.flushPage",

@@ -61,7 +61,12 @@ class Tlb
     void insert(Addr va, Addr pa, std::uint64_t perms, KeyId key_id,
                 bool bitmap_checked);
 
-    /** Flush everything (enclave context switch). */
+    /**
+     * Flush everything (enclave context switch). Host cost is
+     * proportional to the live entries, not the TLB size: flushAll()
+     * on an empty TLB touches no entry, yet still counts as one
+     * flush with zero invalidations.
+     */
     void flushAll();
 
     /** Flush one page's entry if present (targeted bitmap update). */
@@ -90,6 +95,9 @@ class Tlb
     }
 
     std::size_t entryCount() const { return _sets * _ways; }
+
+    /** Valid entries right now. */
+    std::size_t liveEntries() const { return _live; }
 
   private:
     /** Set selection: single AND when _sets is a power of two. */
@@ -161,6 +169,13 @@ class Tlb
     /** Packed probe shadows of _entries' vpn/valid fields. */
     std::vector<Addr> _probeVpn;
     std::vector<std::uint8_t> _probeValid;
+    /**
+     * Valid entries in _entries: +1 when insert() fills an invalid
+     * way, -1 per flushPage() hit, 0 after flushAll(). Invariant:
+     * equals the number of set _probeValid bytes, so flushAll()
+     * skips the entry walk whenever it is 0.
+     */
+    std::size_t _live = 0;
     std::uint64_t _stamp = 0;
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
 #include <set>
 #include <vector>
 
 #include "ems/runtime.hh"
+#include "sim/random.hh"
 
 namespace hypertee
 {
@@ -26,6 +30,8 @@ struct RuntimeFixture : ::testing::Test
     IHub hub{&csMem, &emsMem, &bitmap, &enc};
     EmsPort &port = hub.emsPort();
     Addr frameCursor = kCsBase + 0x100000;
+    /** Frames the OS still grants; lower it to model a small SoC. */
+    std::size_t osPagesLeft = std::numeric_limits<std::size_t>::max();
     std::unique_ptr<EmsRuntime> rt;
 
     void
@@ -41,9 +47,10 @@ struct RuntimeFixture : ::testing::Test
         params.pool.refillBatch = 512;
         auto os_alloc = [this](std::size_t n) {
             std::vector<Addr> out;
-            for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t i = 0; i < n && osPagesLeft > 0; ++i) {
                 out.push_back(pageNumber(frameCursor));
                 frameCursor += pageSize;
+                --osPagesLeft;
             }
             return out;
         };
@@ -87,6 +94,33 @@ struct RuntimeFixture : ::testing::Test
         r = invoke(PrimitiveOp::EMeas, PrivMode::Supervisor, {id});
         EXPECT_EQ(r.status, PrimStatus::Ok);
         return id;
+    }
+
+    /** Everything an EMS memory primitive could change. */
+    struct MemoryState
+    {
+        std::vector<Addr> pages;
+        std::vector<Addr> mappedPa; ///< walk().pa of each probed VA
+        std::size_t owned = 0;
+        std::uint64_t bitmapPages = 0;
+        std::size_t poolFree = 0;
+        std::size_t boundKeys = 0;
+
+        bool operator==(const MemoryState &) const = default;
+    };
+
+    MemoryState
+    memoryState(EnclaveId id, const std::vector<Addr> &probe_vas)
+    {
+        MemoryState st;
+        st.pages = rt->enclave(id)->pages;
+        for (Addr va : probe_vas)
+            st.mappedPa.push_back(rt->enclavePageTable(id)->walk(va).pa);
+        st.owned = rt->ownership().size();
+        st.bitmapPages = bitmap.enclavePageCount();
+        st.poolFree = rt->pool().freePages();
+        st.boundKeys = enc.usedSlots();
+        return st;
     }
 
     std::uint64_t reqId = 0;
@@ -385,6 +419,211 @@ TEST_F(RuntimeFixture, FreeOfForeignPagesRejected)
     EXPECT_EQ(invoke(PrimitiveOp::EFree, PrivMode::User, {va, 1}, b)
                   .status,
               PrimStatus::NotFound);
+}
+
+/** VAs [va, va + n pages) plus one page either side. */
+std::vector<Addr>
+probeRange(Addr va, std::size_t n)
+{
+    std::vector<Addr> vas;
+    for (std::size_t i = 0; i < n + 2; ++i)
+        vas.push_back(va - pageSize + i * pageSize);
+    return vas;
+}
+
+TEST_F(RuntimeFixture, FreeRejectsLeaveMemoryUntouched)
+{
+    // Each rejected EFREE must change nothing; a following EDESTROY
+    // then returns every frame the enclave held.
+    EnclaveId owner = makeMeasuredEnclave();
+    EnclaveId id = makeMeasuredEnclave();
+    std::size_t conserved =
+        rt->pool().freePages() + rt->ownership().size();
+
+    // The attached region lands at shmBase; a private run ends right
+    // below it, so one range covers both kinds.
+    PrimitiveResponse r = invoke(PrimitiveOp::EShmGet, PrivMode::User,
+                                 {2, PteRead | PteWrite}, owner);
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    std::uint64_t shm = r.results.at(0);
+    ASSERT_EQ(invoke(PrimitiveOp::EShmShr, PrivMode::User,
+                     {shm, id, PteRead | PteWrite}, owner)
+                  .status,
+              PrimStatus::Ok);
+    Addr below_shm = EnclaveLayout::shmBase - 2 * pageSize;
+    r = invoke(PrimitiveOp::EAlloc, PrivMode::User, {2, below_shm}, id);
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    r = invoke(PrimitiveOp::EShmAt, PrivMode::User,
+               {shm, PteRead | PteWrite}, id);
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    ASSERT_EQ(r.results.at(0), EnclaveLayout::shmBase);
+
+    r = invoke(PrimitiveOp::EAlloc, PrivMode::User, {4}, id);
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    Addr region = r.results.at(0);
+    std::size_t page_count = rt->enclave(id)->pages.size();
+
+    struct Case
+    {
+        const char *what;
+        Addr va;
+        std::uint64_t n;
+        PrimStatus status;
+    };
+    const Case cases[] = {
+        {"past the region's end", region, 5, PrimStatus::NotFound},
+        {"into attached shared memory", below_shm, 3,
+         PrimStatus::PermissionDenied},
+        {"more pages than the enclave has", region, page_count + 1,
+         PrimStatus::InvalidArgument},
+        {"an n no enclave could hold", region, 1ULL << 62,
+         PrimStatus::InvalidArgument},
+    };
+    for (const Case &c : cases) {
+        std::vector<Addr> probe =
+            probeRange(c.va, std::min<std::uint64_t>(c.n, 8));
+        MemoryState before = memoryState(id, probe);
+        EXPECT_EQ(invoke(PrimitiveOp::EFree, PrivMode::User, {c.va, c.n},
+                         id)
+                      .status,
+                  c.status)
+            << c.what;
+        EXPECT_TRUE(memoryState(id, probe) == before) << c.what;
+    }
+
+    // Both ranges are still whole and freeable.
+    EXPECT_EQ(invoke(PrimitiveOp::EFree, PrivMode::User, {region, 4}, id)
+                  .status,
+              PrimStatus::Ok);
+    ASSERT_EQ(invoke(PrimitiveOp::EDestroy, PrivMode::Supervisor, {id})
+                  .status,
+              PrimStatus::Ok);
+    EXPECT_TRUE(rt->ownership().pagesOf(id).empty());
+    EXPECT_EQ(rt->pool().freePages() + rt->ownership().size(), conserved);
+}
+
+TEST_F(RuntimeFixture, FreeKeepsThePerPageEraseOrder)
+{
+    // Seeded EALLOC/EFREE sequences. Cursor EALLOCs stack up in VA;
+    // EALLOCs at explicit VAs fill 8-page slots in random order, so
+    // VA-adjacent regions are not adjacent in the page list. EFREEs
+    // take whole regions, pieces of them, and ranges spanning
+    // adjacent regions. After each one the page list must equal a
+    // reference kept by one std::erase per freed frame.
+    constexpr Addr kSlotBase = 0x5000'0000;
+    constexpr std::uint64_t kSlotPages = 8;
+    constexpr std::uint64_t kSlots = 24;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Random rng(seed);
+        EnclaveId id = makeMeasuredEnclave();
+        const PageTable *pt = rt->enclavePageTable(id);
+        std::vector<Addr> reference = rt->enclave(id)->pages;
+        std::map<Addr, Addr> mapped; // va -> ppn
+        pt->forEachMapping([&mapped](Addr va, const WalkResult &w) {
+            mapped[va] = pageNumber(w.pa);
+        });
+        std::vector<bool> slot_used(kSlots, false);
+
+        for (int step = 0; step < 800; ++step) {
+            bool alloc = mapped.empty() || rng.below(2) == 0;
+            if (alloc) {
+                std::uint64_t n = 0;
+                std::vector<std::uint64_t> args;
+                std::uint64_t slot = rng.below(kSlots);
+                if (rng.below(2) == 0 && !slot_used[slot]) {
+                    slot_used[slot] = true;
+                    n = kSlotPages;
+                    args = {n, kSlotBase + slot * kSlotPages * pageSize};
+                } else {
+                    n = 1 + rng.below(16);
+                    args = {n};
+                }
+                PrimitiveResponse r =
+                    invoke(PrimitiveOp::EAlloc, PrivMode::User, args, id);
+                ASSERT_EQ(r.status, PrimStatus::Ok);
+                Addr va = r.results.at(0);
+                for (std::uint64_t i = 0; i < n; ++i) {
+                    Addr ppn = pageNumber(pt->walk(va + i * pageSize).pa);
+                    mapped[va + i * pageSize] = ppn;
+                    reference.push_back(ppn);
+                }
+                continue;
+            }
+
+            // A random live page, the maximal VA run around it, and
+            // a random sub-range of that run (often all of it).
+            auto it = mapped.begin();
+            std::advance(it, static_cast<std::ptrdiff_t>(
+                                 rng.below(mapped.size())));
+            Addr lo = it->first, hi = it->first;
+            while (mapped.count(lo - pageSize))
+                lo -= pageSize;
+            while (mapped.count(hi + pageSize))
+                hi += pageSize;
+            std::uint64_t run = (hi - lo) / pageSize + 1;
+            std::uint64_t first = 0, n = run;
+            if (rng.below(2) == 0) {
+                first = rng.below(run);
+                n = 1 + rng.below(run - first);
+            }
+            Addr va = lo + first * pageSize;
+            ASSERT_EQ(invoke(PrimitiveOp::EFree, PrivMode::User, {va, n},
+                             id)
+                          .status,
+                      PrimStatus::Ok);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                auto m = mapped.find(va + i * pageSize);
+                std::erase(reference, m->second);
+                mapped.erase(m);
+            }
+            ASSERT_EQ(rt->enclave(id)->pages, reference)
+                << "seed " << seed << " step " << step;
+        }
+
+        // EDESTROY returns the list to the back of the pool in order:
+        // an ECREATE that drains the frames already free (less its
+        // table root) then draws exactly the reference frames.
+        std::size_t free_before = rt->pool().freePages();
+        ASSERT_EQ(invoke(PrimitiveOp::EDestroy, PrivMode::Supervisor,
+                         {id})
+                      .status,
+                  PrimStatus::Ok);
+        std::uint64_t data_pages = free_before - 1 + reference.size();
+        std::uint64_t stack = std::min<std::uint64_t>(data_pages, 4096);
+        PrimitiveResponse r =
+            invoke(PrimitiveOp::ECreate, PrivMode::Supervisor,
+                   {stack, data_pages - stack, 0});
+        ASSERT_EQ(r.status, PrimStatus::Ok);
+        EnclaveId next = static_cast<EnclaveId>(r.results.at(0));
+        const std::vector<Addr> &drawn = rt->enclave(next)->pages;
+        ASSERT_EQ(drawn.size(), data_pages);
+        EXPECT_TRUE(std::equal(reference.begin(), reference.end(),
+                               drawn.end() - static_cast<std::ptrdiff_t>(
+                                                 reference.size())))
+            << "seed " << seed;
+        ASSERT_EQ(invoke(PrimitiveOp::EDestroy, PrivMode::Supervisor,
+                         {next})
+                      .status,
+                  PrimStatus::Ok);
+    }
+}
+
+TEST_F(RuntimeFixture, CreateOutOfMemoryLeavesNothingBehind)
+{
+    // A small SoC: the OS grants no frame beyond the warm pool, so a
+    // huge heap cannot be drawn after the KeyID and table root are.
+    EnclaveId holder = makeMeasuredEnclave();
+    osPagesLeft = 0;
+    MemoryState before = memoryState(holder, {});
+    PrimitiveResponse r = invoke(PrimitiveOp::ECreate,
+                                 PrivMode::Supervisor, {4, 1u << 20, 0});
+    EXPECT_EQ(r.status, PrimStatus::OutOfMemory);
+    EXPECT_EQ(rt->enclave(holder + 1), nullptr);
+    EXPECT_TRUE(memoryState(holder, {}) == before);
+
+    // The pool is whole: a normal ECREATE still fits.
+    r = invoke(PrimitiveOp::ECreate, PrivMode::Supervisor, {4, 8, 0});
+    EXPECT_EQ(r.status, PrimStatus::Ok);
 }
 
 TEST_F(RuntimeFixture, DestroyScrubsEverything)
