@@ -166,6 +166,32 @@ BM_PageTableWalk(benchmark::State &state)
 BENCHMARK(BM_PageTableWalk);
 
 /**
+ * Events fired and wall time spent inside the event-queue benchmarks:
+ * the window bench_micro's gated events_per_sec is taken over.
+ */
+BenchOptions::EventWindow eventQueueWindow;
+
+/** Adds the enclosing benchmark run to eventQueueWindow. */
+class EventQueueTimed
+{
+  public:
+    EventQueueTimed() : _events(perf::totalEventsFired()) {}
+
+    ~EventQueueTimed()
+    {
+        eventQueueWindow.events += perf::totalEventsFired() - _events;
+        eventQueueWindow.seconds += _timer.elapsedSeconds();
+    }
+
+    EventQueueTimed(const EventQueueTimed &) = delete;
+    EventQueueTimed &operator=(const EventQueueTimed &) = delete;
+
+  private:
+    std::uint64_t _events;
+    perf::WallTimer _timer;
+};
+
+/**
  * A timer event that perpetually reschedules itself @p period ticks
  * ahead — the canonical discrete-event hot loop (DRAM refresh,
  * mailbox poll, context-switch quantum).
@@ -189,6 +215,7 @@ struct SelfTimer
 void
 BM_EventQueueScheduleFire(benchmark::State &state)
 {
+    EventQueueTimed timed;
     EventQueue eq;
     const std::size_t k = static_cast<std::size_t>(state.range(0));
     std::vector<std::unique_ptr<SelfTimer>> timers;
@@ -213,6 +240,7 @@ BENCHMARK(BM_EventQueueScheduleFire)->Arg(4)->Arg(64)->Arg(1024);
 void
 BM_EventQueueRescheduleStorm(benchmark::State &state)
 {
+    EventQueueTimed timed;
     EventQueue eq;
     constexpr std::size_t k = 16;
     std::vector<std::unique_ptr<Event>> timers;
@@ -244,6 +272,7 @@ BENCHMARK(BM_EventQueueRescheduleStorm);
 void
 BM_EventQueueDescheduleHeavy(benchmark::State &state)
 {
+    EventQueueTimed timed;
     EventQueue eq;
     constexpr std::size_t k = 32;
     std::vector<std::unique_ptr<Event>> guards;
@@ -282,6 +311,7 @@ BENCHMARK(BM_EventQueueDescheduleHeavy);
 void
 BM_EventQueueSimLoop(benchmark::State &state)
 {
+    EventQueueTimed timed;
     EventQueue eq;
     constexpr std::size_t kTimers = 16;
     constexpr std::size_t kGuards = 4;
@@ -359,27 +389,91 @@ BM_TraceRecordInstant(benchmark::State &state)
 }
 BENCHMARK(BM_TraceRecordInstant);
 
+/**
+ * A system with one measured enclave, entered, plus a second one to
+ * share with: the setting of perfbench's mgmt_churn round trips.
+ */
+struct PrimitiveBench
+{
+    PrimitiveBench()
+    {
+        logging_detail::setVerbose(false);
+        enclave.setChargeCore(false);
+        enclave.addImage(Bytes(pageSize, 1), EnclaveLayout::codeBase,
+                         PteRead | PteExec);
+        enclave.measure();
+        enclave.enter();
+        peer.setChargeCore(false);
+    }
+
+    static SystemParams
+    params()
+    {
+        SystemParams p;
+        p.csMemSize = 256ULL * 1024 * 1024;
+        p.csCoreCount = 1;
+        p.ems.pool.initialPages = 16384;
+        return p;
+    }
+
+    HyperTeeSystem sys{params()};
+    EnclaveHandle enclave{sys, 0, EnclaveConfig{}};
+    EnclaveHandle peer{sys, 0, EnclaveConfig{}};
+};
+
+/**
+ * EALLOC + EFREE of a region of state.range(0) pages, at one VA so
+ * the heap cursor does not run through the address space.
+ */
 void
 BM_PrimitiveRoundTrip(benchmark::State &state)
 {
-    logging_detail::setVerbose(false);
-    SystemParams p;
-    p.csMemSize = 256ULL * 1024 * 1024;
-    p.csCoreCount = 1;
-    p.ems.pool.initialPages = 16384;
-    HyperTeeSystem sys(p);
-    EnclaveHandle enclave(sys, 0, EnclaveConfig{});
-    enclave.setChargeCore(false);
-    enclave.addImage(Bytes(pageSize, 1), EnclaveLayout::codeBase,
-                     PteRead | PteExec);
-    enclave.measure();
-    enclave.enter();
+    PrimitiveBench b;
+    const std::size_t pages = static_cast<std::size_t>(state.range(0));
+    const Addr va = EnclaveLayout::heapBase + 0x1000'0000;
     for (auto _ : state) {
-        Addr va = enclave.alloc(1);
-        enclave.free(va, 1);
+        if (b.enclave.allocAt(va, pages) != va ||
+            !b.enclave.free(va, pages)) {
+            state.SkipWithError("EALLOC/EFREE failed");
+            break;
+        }
     }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_PrimitiveRoundTrip);
+BENCHMARK(BM_PrimitiveRoundTrip)->Arg(1)->Arg(64)->Arg(512);
+
+/**
+ * The 64-page ESHM sequence of perfbench's mgmt_churn: ESHMGET,
+ * ESHMSHR to a second enclave, ESHMAT, ESHMDT, ESHMDES.
+ */
+void
+BM_ShmSequence(benchmark::State &state)
+{
+    constexpr std::size_t pages = 64;
+    // ESHMAT hands out VAs from a cursor that never moves back; the
+    // shared-memory window holds 1023 such regions, so the enclaves
+    // are rebuilt, untimed, before it runs out.
+    constexpr std::size_t attachesPerSystem = 1000;
+    auto b = std::make_unique<PrimitiveBench>();
+    std::size_t attaches = 0;
+    for (auto _ : state) {
+        if (attaches++ == attachesPerSystem) {
+            state.PauseTiming();
+            b = std::make_unique<PrimitiveBench>();
+            attaches = 1;
+            state.ResumeTiming();
+        }
+        ShmId shm = b->enclave.shmCreate(pages, PteRead | PteWrite);
+        if (shm == 0 || !b->enclave.shmShare(shm, b->peer.id(), PteRead) ||
+            b->enclave.shmAttach(shm, PteRead | PteWrite) == 0 ||
+            !b->enclave.shmDetach(shm) || !b->enclave.shmDestroy(shm)) {
+            state.SkipWithError("ESHM sequence failed");
+            break;
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * pages);
+}
+BENCHMARK(BM_ShmSequence);
 
 void
 BM_EnclaveWorkloadSimRate(benchmark::State &state)
@@ -449,6 +543,7 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
+    opts.eventWindow = eventQueueWindow;
 
     return writePerfJson(opts) ? 0 : 1;
 }

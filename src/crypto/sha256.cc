@@ -298,6 +298,15 @@ Sha256::finish()
     return out;
 }
 
+void
+Sha256::wipe()
+{
+    secureWipe(_state, sizeof(_state));
+    secureWipe(_buffer, sizeof(_buffer));
+    _bitLen = 0;
+    _bufLen = 0;
+}
+
 Bytes
 Sha256::digest(const std::uint8_t *data, std::size_t len)
 {

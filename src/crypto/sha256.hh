@@ -41,6 +41,9 @@ class Sha256
     /** Finish and return the 32-byte digest; the object is spent. */
     std::array<std::uint8_t, digestSize> finish();
 
+    /** Zeroize the state and buffer (states derived from a key). */
+    void wipe();
+
     /** One-shot convenience. */
     static Bytes digest(const Bytes &data);
     static Bytes digest(const std::uint8_t *data, std::size_t len);

@@ -73,6 +73,8 @@ struct EnclaveControl
 
     /** shmId -> VA where this enclave attached it. */
     std::map<ShmId, Addr> attachedShm;
+    /** Pages of the regions in attachedShm (the maxShmPages quota). */
+    std::size_t attachedShmPages = 0;
 };
 
 } // namespace hypertee

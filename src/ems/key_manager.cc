@@ -6,11 +6,26 @@
 namespace hypertee
 {
 
-KeyManager::KeyManager(const EFuse &efuse) : _sealedKey(efuse.sealedKey)
+namespace
+{
+
+/** The PRK every derivation expands, keyed into its HMAC states. */
+HmacSha256
+extractPrk(const Bytes &sealed_key)
+{
+    SecretBytes prk(hkdfExtract(bytesFromString("hypertee-kdf"),
+                                sealed_key));
+    return HmacSha256(prk.get());
+}
+
+} // namespace
+
+KeyManager::KeyManager(const EFuse &efuse)
+    : _prkMac(extractPrk(efuse.sealedKey))
 {
     fatalIf(efuse.endorsementSeed.size() != 32,
             "EK seed must be 32 bytes");
-    fatalIf(_sealedKey.size() != 32, "SK must be 32 bytes");
+    fatalIf(efuse.sealedKey.size() != 32, "SK must be 32 bytes");
     _endorsementKey = ed25519ExpandSeed(efuse.endorsementSeed);
 }
 
@@ -20,8 +35,7 @@ KeyManager::derive(const char *label, const Bytes &context,
 {
     Bytes info = bytesFromString(label);
     info.insert(info.end(), context.begin(), context.end());
-    return hkdf(_sealedKey.get(), bytesFromString("hypertee-kdf"),
-                info, len);
+    return hkdfExpand(_prkMac, info, len);
 }
 
 Bytes

@@ -20,6 +20,7 @@
 
 #include "crypto/bytes.hh"
 #include "crypto/ed25519.hh"
+#include "crypto/hmac.hh"
 #include "sim/types.hh"
 
 namespace hypertee
@@ -89,7 +90,13 @@ class KeyManager
 
     /** EK, expanded from its seed once; the secret half is wiped. */
     Ed25519Key _endorsementKey;
-    SecretBytes _sealedKey; ///< SK, wiped on destruction
+    /**
+     * PRK = HKDF-Extract("hypertee-kdf", SK), held as its HMAC inner
+     * and outer states: salt and SK are fixed, so the PRK is a
+     * constant and every derivation is one expand. Wiped on
+     * destruction.
+     */
+    HmacSha256 _prkMac;
 };
 
 } // namespace hypertee

@@ -40,6 +40,25 @@ eraseFrames(std::vector<Addr> &pages, const std::vector<Addr> &freed)
     std::erase_if(pages, [&gone](Addr ppn) { return gone.count(ppn) != 0; });
 }
 
+/**
+ * Call fn(first, count) for each run of consecutive PPNs in @p ppns,
+ * in order, until fn returns false. @return false when fn did.
+ */
+template <typename Fn>
+bool
+forEachFrameRun(const std::vector<Addr> &ppns, Fn fn)
+{
+    for (std::size_t i = 0; i < ppns.size();) {
+        std::size_t j = i + 1;
+        while (j < ppns.size() && ppns[j] == ppns[j - 1] + 1)
+            ++j;
+        if (!fn(ppns[i], j - i))
+            return false;
+        i = j;
+    }
+    return true;
+}
+
 } // namespace
 
 EmsRuntime::EmsRuntime(EmsPort *port, PhysicalMemory *cs_mem,
@@ -48,7 +67,9 @@ EmsRuntime::EmsRuntime(EmsPort *port, PhysicalMemory *cs_mem,
                        EnclaveMemoryPool::OsAllocator os_alloc,
                        EnclaveMemoryPool::OsReleaser os_release)
     : _port(port), _csMem(cs_mem), _km(km), _p(params), _cost(params.cost),
-      _engine(params.crypto, params.cryptoEnginePresent), _rng(params.seed)
+      _engine(params.crypto, params.cryptoEnginePresent), _rng(params.seed),
+      _ownership(cs_mem ? pageNumber(cs_mem->base()) : 0,
+                 cs_mem ? cs_mem->size() >> pageShift : 0)
 {
     panicIf(port == nullptr, "runtime needs the EMS port");
     panicIf(cs_mem == nullptr, "runtime needs CS memory");
@@ -220,22 +241,14 @@ EmsRuntime::grantDmaAccess(EnclaveId caller, ShmId shm_id,
     // one window per contiguous physical run.
     std::size_t window = first_window;
     std::size_t programmed = 0;
-    std::size_t i = 0;
-    while (i < shm.pages.size()) {
-        std::size_t j = i + 1;
-        while (j < shm.pages.size() &&
-               shm.pages[j] == shm.pages[j - 1] + 1) {
-            ++j;
-        }
-        bool ok = _port->configureDmaWindow(
-            window++, device, shm.pages[i] << pageShift,
-            (j - i) * pageSize, perms);
-        if (!ok)
-            return 0; // out of register pairs: fail closed
+    const bool ok = forEachFrameRun(shm.pages, [&](Addr first, Addr count) {
+        if (!_port->configureDmaWindow(window++, device, first << pageShift,
+                                       count * pageSize, perms))
+            return false; // out of register pairs: fail closed
         ++programmed;
-        i = j;
-    }
-    return programmed;
+        return true;
+    });
+    return ok ? programmed : 0;
 }
 
 PageTable::FrameAllocator
@@ -245,50 +258,63 @@ EmsRuntime::makeFrameAllocator(EnclaveId owner)
         std::vector<Addr> got = _pool->allocate(1);
         fatalIf(got.empty(), "enclave memory pool exhausted while "
                              "allocating a page-table frame");
-        Addr ppn = got[0];
-        _port->zeroCs(ppn << pageShift, pageSize);
-        bool claimed = _ownership.claim(ppn, owner, PageKind::PageTable);
-        panicIf(!claimed, "page-table frame already owned");
-        _port->setBitmapBit(ppn, true);
-        _pendingFrameCharge +=
-            _cost.perPageZeroTime(1) + _cost.perPageMapTime(1);
-        return ppn << pageShift;
+        adoptFrames(got, owner, PageKind::PageTable, 0, _pendingFrameCharge);
+        return got[0] << pageShift;
     };
 }
 
-Addr
-EmsRuntime::takePoolPage(EnclaveId owner, PageKind kind, Tick &service)
+void
+EmsRuntime::zeroFrames(const std::vector<Addr> &ppns)
 {
-    std::vector<Addr> got = _pool->allocate(1);
-    if (got.empty())
-        return 0;
-    Addr ppn = got[0];
-    _port->zeroCs(ppn << pageShift, pageSize);
-    service += _cost.perPageZeroTime(1);
-    bool claimed = _ownership.claim(ppn, owner, kind);
-    panicIf(!claimed, "pool page already owned: ", ppn);
-    _port->setBitmapBit(ppn, true);
-    service += _cost.perPageMapTime(1);
-    return ppn << pageShift;
+    forEachFrameRun(ppns, [this](Addr first, Addr count) {
+        _port->zeroCs(first << pageShift, count * pageSize);
+        return true;
+    });
 }
 
 void
-EmsRuntime::mapEnclavePage(EnclaveControl &enc, Addr va, Addr ppn,
-                           std::uint64_t perms, Tick &service)
+EmsRuntime::adoptFrames(const std::vector<Addr> &ppns, EnclaveId owner,
+                        PageKind kind, ShmId shm, Tick &service)
 {
-    enc.pageTable->map(va, ppn << pageShift, perms | PteUser, enc.keyId);
-    enc.pages.push_back(ppn);
-    service += _cost.perPageMapTime(1);
+    zeroFrames(ppns);
+    bool claimed = _ownership.claimAll(ppns, owner, kind, shm);
+    panicIf(!claimed, "pool page already owned");
+    _port->setBitmapBits(ppns, true);
+    service += _cost.perPageZeroTime(ppns.size()) +
+               _cost.perPageMapTime(ppns.size());
+}
+
+void
+EmsRuntime::mapEnclavePages(EnclaveControl &enc, Addr va,
+                            std::span<const Addr> ppns, std::uint64_t perms,
+                            Tick &service)
+{
+    enc.pageTable->mapRun(va, ppns, perms | PteUser, enc.keyId);
+    enc.pages.insert(enc.pages.end(), ppns.begin(), ppns.end());
+    // Charged per page, as the per-page handlers always were.
+    service += ppns.size() * _cost.perPageMapTime(1);
+}
+
+PrimStatus
+EmsRuntime::checkUnmapped(const EnclaveControl &enc, Addr va,
+                          std::size_t n) const
+{
+    // Bounded in pages, so nothing here can overflow or wrap.
+    if (va > PageTable::vaSpace || n > (PageTable::vaSpace - va) / pageSize)
+        return PrimStatus::InvalidArgument;
+    const bool unmapped = enc.pageTable->walkRun(
+        va, n, [](std::size_t, std::uint64_t pte) {
+            return !PageTable::leafValid(pte);
+        });
+    return unmapped ? PrimStatus::Ok : PrimStatus::AlreadyExists;
 }
 
 void
 EmsRuntime::scrubAndReturn(const std::vector<Addr> &ppns, Tick &service)
 {
-    for (Addr ppn : ppns) {
-        _port->zeroCs(ppn << pageShift, pageSize);
-        _port->setBitmapBit(ppn, false);
-        _ownership.release(ppn);
-    }
+    zeroFrames(ppns);
+    _port->setBitmapBits(ppns, false);
+    _ownership.releaseAll(ppns);
     service += _cost.perPageZeroTime(ppns.size());
     service += _cost.perPageMapTime(ppns.size());
     _pool->release(ppns);
@@ -436,27 +462,15 @@ EmsRuntime::doCreate(const PrimitiveRequest &req, Tick &service)
         _enclaves.erase(it);
         return reject(PrimStatus::OutOfMemory);
     }
-    for (Addr ppn : frames) {
-        _port->zeroCs(ppn << pageShift, pageSize);
-        bool claimed = _ownership.claim(ppn, id, PageKind::Private);
-        panicIf(!claimed, "pool page already owned");
-        _port->setBitmapBit(ppn, true);
-    }
-    service += _cost.perPageZeroTime(frames.size()) +
-               _cost.perPageMapTime(frames.size());
+    adoptFrames(frames, id, PageKind::Private, 0, service);
 
-    Addr stack_base =
-        EnclaveLayout::stackTop - cfg.stackPages * pageSize;
-    for (std::size_t i = 0; i < cfg.stackPages; ++i) {
-        mapEnclavePage(e, stack_base + i * pageSize, frames[i],
-                       PteRead | PteWrite, service);
-    }
-    for (std::size_t i = 0; i < cfg.heapPages; ++i) {
-        mapEnclavePage(e, e.heapCursor,
-                       frames[cfg.stackPages + i], PteRead | PteWrite,
-                       service);
-        e.heapCursor += pageSize;
-    }
+    const std::span<const Addr> data(frames);
+    mapEnclavePages(e, EnclaveLayout::stackTop - cfg.stackPages * pageSize,
+                    data.first(cfg.stackPages), PteRead | PteWrite,
+                    service);
+    mapEnclavePages(e, e.heapCursor, data.subspan(cfg.stackPages),
+                    PteRead | PteWrite, service);
+    e.heapCursor += cfg.heapPages * pageSize;
 
     PrimitiveResponse resp;
     resp.results = {id};
@@ -478,10 +492,16 @@ EmsRuntime::doAdd(const PrimitiveRequest &req, Tick &service)
                           (PteRead | PteWrite | PteExec);
     if (va % pageSize != 0 || perms == 0)
         return reject(PrimStatus::InvalidArgument);
+    // A second EADD of a VA is refused before it is measured or
+    // draws a frame.
+    if (PrimStatus bad = checkUnmapped(*enc, va, 1); bad != PrimStatus::Ok)
+        return reject(bad);
 
-    Addr pa = takePoolPage(enc->id, PageKind::Private, service);
-    if (pa == 0)
+    std::vector<Addr> frames = _pool->allocate(1);
+    if (frames.empty())
         return reject(PrimStatus::OutOfMemory);
+    adoptFrames(frames, enc->id, PageKind::Private, 0, service);
+    const Addr pa = frames[0] << pageShift;
 
     // Copy the page image into enclave memory and extend the
     // running measurement (billed at EMEAS, Table IV).
@@ -497,7 +517,7 @@ EmsRuntime::doAdd(const PrimitiveRequest &req, Tick &service)
     enc->measureCtx->update(meta, sizeof(meta));
     enc->measuredBytes += pageSize + sizeof(meta);
 
-    mapEnclavePage(*enc, va, pageNumber(pa), perms, service);
+    mapEnclavePages(*enc, va, frames, perms, service);
 
     PrimitiveResponse resp;
     resp.flags = kFlagFlushTlb;
@@ -578,6 +598,7 @@ EmsRuntime::doDestroy(const PrimitiveRequest &req, Tick &service)
             it->second.attached.erase(id);
     }
     enc->attachedShm.clear();
+    enc->attachedShmPages = 0;
 
     // Scrub every private page and page-table frame, then recycle.
     scrubAndReturn(enc->pages, service);
@@ -613,20 +634,14 @@ EmsRuntime::doAlloc(const PrimitiveRequest &req, Tick &service)
 
     Addr va = req.args.size() == 2 ? pageAlign(req.args[1])
                                    : enc->heapCursor;
+    // The range must be free before a frame is drawn.
+    if (PrimStatus bad = checkUnmapped(*enc, va, n); bad != PrimStatus::Ok)
+        return reject(bad);
     std::vector<Addr> frames = _pool->allocate(n);
     if (frames.size() != n)
         return reject(PrimStatus::OutOfMemory);
-    for (Addr ppn : frames) {
-        _port->zeroCs(ppn << pageShift, pageSize);
-        bool claimed = _ownership.claim(ppn, enc->id, PageKind::Private);
-        panicIf(!claimed, "pool page already owned");
-        _port->setBitmapBit(ppn, true);
-    }
-    service += _cost.perPageZeroTime(n) + _cost.perPageMapTime(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        mapEnclavePage(*enc, va + i * pageSize, frames[i],
-                       PteRead | PteWrite, service);
-    }
+    adoptFrames(frames, enc->id, PageKind::Private, 0, service);
+    mapEnclavePages(*enc, va, frames, PteRead | PteWrite, service);
     if (req.args.size() == 1)
         enc->heapCursor += n * pageSize;
 
@@ -656,22 +671,28 @@ EmsRuntime::doFree(const PrimitiveRequest &req, Tick &service)
     // Validate every page before changing anything, so a reject
     // leaves the page table, page list, ownership, bitmap and pool
     // as they were.
-    std::vector<Addr> freed(n);
-    std::vector<Addr> ptes(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        WalkResult walk = enc->pageTable->walk(va + i * pageSize);
-        if (!walk.valid)
-            return reject(PrimStatus::NotFound);
-        freed[i] = pageNumber(walk.pa);
-        ptes[i] = walk.pteAddr;
-        const PageOwner *owner = _ownership.lookup(freed[i]);
+    std::vector<Addr> freed;
+    freed.reserve(n);
+    PrimStatus bad = PrimStatus::Ok;
+    enc->pageTable->walkRun(va, n, [&](std::size_t, std::uint64_t pte) {
+        if (!PageTable::leafValid(pte)) {
+            bad = PrimStatus::NotFound;
+            return false;
+        }
+        const Addr ppn = PageTable::leafPpn(pte);
+        const PageOwner *owner = _ownership.lookup(ppn);
         if (!owner || owner->owner != enc->id ||
-            owner->kind != PageKind::Private)
-            return reject(PrimStatus::PermissionDenied);
-    }
+            owner->kind != PageKind::Private) {
+            bad = PrimStatus::PermissionDenied;
+            return false;
+        }
+        freed.push_back(ppn);
+        return true;
+    });
+    if (bad != PrimStatus::Ok)
+        return reject(bad);
 
-    for (Addr pte : ptes)
-        enc->pageTable->unmapLeaf(pte);
+    enc->pageTable->unmapRun(va, n);
     eraseFrames(enc->pages, freed);
     scrubAndReturn(freed, service);
 
@@ -744,19 +765,22 @@ EmsRuntime::doShmGet(const PrimitiveRequest &req, Tick &service)
     if (shm.keyId == 0)
         return reject(PrimStatus::OutOfMemory);
 
+    // Draw every frame before claiming any, one allocate(1) each as
+    // ever (a batch draw would move the pool's refill points), so a
+    // short pool takes back the frames and the KeyID untouched.
+    shm.pages.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         std::vector<Addr> got = _pool->allocate(1);
         if (got.empty())
-            return reject(PrimStatus::OutOfMemory);
-        Addr ppn = got[0];
-        _port->zeroCs(ppn << pageShift, pageSize);
-        bool claimed =
-            _ownership.claim(ppn, enc->id, PageKind::Shared, id);
-        panicIf(!claimed, "shm page already owned");
-        _port->setBitmapBit(ppn, true);
-        shm.pages.push_back(ppn);
+            break;
+        shm.pages.push_back(got[0]);
     }
-    service += _cost.perPageZeroTime(n) + _cost.perPageMapTime(n);
+    if (shm.pages.size() != n) {
+        _pool->release(shm.pages);
+        releaseKeyId(shm.keyId);
+        return reject(PrimStatus::OutOfMemory);
+    }
+    adoptFrames(shm.pages, enc->id, PageKind::Shared, id, service);
 
     // The creator joins its own legal connection list at max perms.
     shm.legalConnections[enc->id] = max_perms;
@@ -820,19 +844,21 @@ EmsRuntime::doShmAt(const PrimitiveRequest &req, Tick &service)
     std::uint64_t perms = req.args[1] & conn->second;
     if (perms == 0)
         return reject(PrimStatus::PermissionDenied);
-    if (enc->attachedShm.size() * shm.pages.size() +
-            shm.pages.size() > enc->config.maxShmPages) {
+    if (enc->attachedShmPages + shm.pages.size() >
+        enc->config.maxShmPages) {
         return reject(PrimStatus::OutOfMemory);
     }
 
+    // The cursor never moves back: once the shared-memory window is
+    // used up it would run into the stack.
     Addr va = enc->shmCursor;
-    for (std::size_t i = 0; i < shm.pages.size(); ++i) {
-        enc->pageTable->map(va + i * pageSize,
-                            shm.pages[i] << pageShift,
-                            perms | PteUser, shm.keyId);
-    }
+    if (PrimStatus bad = checkUnmapped(*enc, va, shm.pages.size());
+        bad != PrimStatus::Ok)
+        return reject(bad);
+    enc->pageTable->mapRun(va, shm.pages, perms | PteUser, shm.keyId);
     enc->shmCursor += shm.pages.size() * pageSize;
     enc->attachedShm[shm.id] = va;
+    enc->attachedShmPages += shm.pages.size();
     shm.attached.insert(enc->id);
     service += _cost.perPageMapTime(shm.pages.size());
 
@@ -860,10 +886,9 @@ EmsRuntime::doShmDt(const PrimitiveRequest &req, Tick &service)
     if (att == enc->attachedShm.end())
         return reject(PrimStatus::NotFound);
 
-    Addr va = att->second;
-    for (std::size_t i = 0; i < shm.pages.size(); ++i)
-        enc->pageTable->unmap(va + i * pageSize);
+    enc->pageTable->unmapRun(att->second, shm.pages.size());
     enc->attachedShm.erase(att);
+    enc->attachedShmPages -= shm.pages.size();
     shm.attached.erase(enc->id);
     service += _cost.perPageMapTime(shm.pages.size());
 

@@ -140,9 +140,28 @@ class EmsRuntime
     KeyId assignKeyId(const Bytes &key, Tick &service);
     KeyId nextFreeKeyId(Tick &service);
     void releaseKeyId(KeyId id);
-    Addr takePoolPage(EnclaveId owner, PageKind kind, Tick &service);
-    void mapEnclavePage(EnclaveControl &enc, Addr va, Addr ppn,
-                        std::uint64_t perms, Tick &service);
+    /**
+     * Zero fresh pool frames, claim them for @p owner and mark them
+     * as enclave memory; charges their zero and map time.
+     */
+    void adoptFrames(const std::vector<Addr> &ppns, EnclaveId owner,
+                     PageKind kind, ShmId shm, Tick &service);
+    /** Zero @p ppns, one iHub call per physically contiguous run. */
+    void zeroFrames(const std::vector<Addr> &ppns);
+    /**
+     * Map the private frames @p ppns at @p va in the enclave's table
+     * and page list.
+     */
+    void mapEnclavePages(EnclaveControl &enc, Addr va,
+                         std::span<const Addr> ppns, std::uint64_t perms,
+                         Tick &service);
+    /**
+     * Why the @p n pages from @p va cannot be newly mapped in @p enc
+     * (the range wraps, leaves the VA space, or overlaps a mapping),
+     * or Ok. Draws and changes nothing.
+     */
+    PrimStatus checkUnmapped(const EnclaveControl &enc, Addr va,
+                             std::size_t n) const;
     void scrubAndReturn(const std::vector<Addr> &ppns, Tick &service);
     /** Scrub the enclave's table frames back to the pool; drop it. */
     void releasePageTable(EnclaveControl &enc, Tick &service);

@@ -100,6 +100,12 @@ EmsPort::setBitmapBit(Addr ppn, bool enclave)
     return _hub->_bitmap->setEnclavePage(ppn, enclave);
 }
 
+std::uint64_t
+EmsPort::setBitmapBits(std::span<const Addr> ppns, bool enclave)
+{
+    return _hub->_bitmap->setEnclavePages(ppns, enclave);
+}
+
 bool
 EmsPort::configureKey(KeyId id, const Bytes &key)
 {

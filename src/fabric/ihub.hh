@@ -17,6 +17,7 @@
 #define HYPERTEE_FABRIC_IHUB_HH
 
 #include <memory>
+#include <span>
 
 #include "fabric/dma_whitelist.hh"
 #include "fabric/mailbox.hh"
@@ -45,6 +46,13 @@ class EmsPort
 
     /** Update the enclave bitmap (lives in CS memory). */
     bool setBitmapBit(Addr ppn, bool enclave);
+
+    /**
+     * setBitmapBit() for every page of @p ppns, one bitmap word
+     * read-modify-write per run that shares a word.
+     * @return the number of bits that changed.
+     */
+    std::uint64_t setBitmapBits(std::span<const Addr> ppns, bool enclave);
 
     /** Program the memory-encryption key table. */
     bool configureKey(KeyId id, const Bytes &key);

@@ -13,6 +13,7 @@
 #define HYPERTEE_MEM_BITMAP_HH
 
 #include <cstdint>
+#include <span>
 
 #include "mem/phys_mem.hh"
 #include "sim/types.hh"
@@ -48,6 +49,16 @@ class EnclaveBitmap
     /** Mark/unmark a page; returns true if the bit changed. */
     bool setEnclavePage(Addr ppn, bool enclave);
 
+    /**
+     * Mark/unmark every page of @p ppns: the bits, updates() and
+     * enclavePageCount() that setEnclavePage() over each entry in
+     * order leaves, with one 64-bit read-modify-write per bitmap word
+     * that consecutive entries share. The per-page trace instants are
+     * emitted when the Bitmap category is on.
+     * @return the number of bits that changed.
+     */
+    std::uint64_t setEnclavePages(std::span<const Addr> ppns, bool enclave);
+
     /** Physical address of the bitmap byte covering @p ppn. */
     Addr
     byteAddrFor(Addr ppn) const
@@ -63,6 +74,8 @@ class EnclaveBitmap
 
   private:
     Addr bitAddr(Addr ppn, int &bit_in_byte) const;
+    /** Bit index of @p ppn in the bitmap; panics outside memory. */
+    Addr bitIndex(Addr ppn) const;
 
     PhysicalMemory *_mem;
     Addr _bmBase;

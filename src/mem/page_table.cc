@@ -10,27 +10,6 @@ namespace
 
 constexpr std::uint64_t permMask = 0xff;
 constexpr std::uint64_t keyShift = 48;
-constexpr std::uint64_t ppnShift = 10;
-constexpr std::uint64_t ppnMask = (1ULL << 38) - 1; // PTE[47:10]
-
-std::uint64_t
-makeLeaf(Addr pa, std::uint64_t perms, KeyId key)
-{
-    return (std::uint64_t(key) << keyShift) |
-           ((pageNumber(pa) & ppnMask) << ppnShift) | perms | PteValid;
-}
-
-std::uint64_t
-makeNode(Addr table_pa)
-{
-    return ((pageNumber(table_pa) & ppnMask) << ppnShift) | PteValid;
-}
-
-Addr
-pteTarget(std::uint64_t pte)
-{
-    return ((pte >> ppnShift) & ppnMask) << pageShift;
-}
 
 bool
 isLeaf(std::uint64_t pte)
@@ -39,6 +18,25 @@ isLeaf(std::uint64_t pte)
 }
 
 } // namespace
+
+std::uint64_t
+PageTable::makeLeaf(Addr ppn, std::uint64_t perms, KeyId key)
+{
+    return (std::uint64_t(key) << keyShift) | ((ppn & ppnMask) << ppnShift) |
+           perms | PteValid;
+}
+
+std::uint64_t
+PageTable::makeNode(Addr table_pa)
+{
+    return ((pageNumber(table_pa) & ppnMask) << ppnShift) | PteValid;
+}
+
+Addr
+PageTable::pteTarget(std::uint64_t pte)
+{
+    return leafPpn(pte) << pageShift;
+}
 
 PageTable::PageTable(PhysicalMemory *mem, FrameAllocator alloc)
     : _mem(mem), _alloc(std::move(alloc))
@@ -52,29 +50,15 @@ PageTable::PageTable(PhysicalMemory *mem, FrameAllocator alloc)
 }
 
 Addr
-PageTable::vpn(Addr va, int level)
+PageTable::leafTable(Addr va, bool allocate)
 {
-    // level 2 is the root index, level 0 the leaf index.
-    return (va >> (pageShift + bitsPerLevel * level)) &
-           ((1ULL << bitsPerLevel) - 1);
-}
-
-Addr
-PageTable::pteAddrAt(Addr table, Addr va, int level) const
-{
-    return table + vpn(va, level) * 8;
-}
-
-void
-PageTable::map(Addr va, Addr pa, std::uint64_t perms, KeyId key_id)
-{
-    panicIf(va % pageSize != 0 || pa % pageSize != 0,
-            "map requires page-aligned addresses");
     Addr table = _root;
     for (int level = levels - 1; level > 0; --level) {
         Addr pte_addr = pteAddrAt(table, va, level);
         std::uint64_t pte = _mem->read64(pte_addr);
         if (!(pte & PteValid)) {
+            if (!allocate)
+                return 0;
             Addr frame = _alloc();
             _mem->zero(frame, pageSize);
             _frames.push_back(frame);
@@ -84,10 +68,35 @@ PageTable::map(Addr va, Addr pa, std::uint64_t perms, KeyId key_id)
         panicIf(isLeaf(pte), "superpage collision while mapping");
         table = pteTarget(pte);
     }
-    Addr leaf_addr = pteAddrAt(table, va, 0);
-    std::uint64_t old = _mem->read64(leaf_addr);
-    panicIf(old & PteValid, "double map of va ", va);
-    _mem->write64(leaf_addr, makeLeaf(pa, perms & permMask, key_id));
+    return table;
+}
+
+void
+PageTable::map(Addr va, Addr pa, std::uint64_t perms, KeyId key_id)
+{
+    panicIf(pa % pageSize != 0, "map requires page-aligned addresses");
+    const Addr ppn = pageNumber(pa);
+    mapRun(va, {&ppn, 1}, perms, key_id);
+}
+
+void
+PageTable::mapRun(Addr va, std::span<const Addr> ppns, std::uint64_t perms,
+                  KeyId key_id)
+{
+    panicIf(va % pageSize != 0, "map requires page-aligned addresses");
+    perms &= permMask;
+    for (std::size_t i = 0; i < ppns.size();) {
+        // Drawing a missing table zeroes it, so take its bytes after.
+        std::uint8_t *ptes = _mem->pageDataForWrite(leafTable(va, true));
+        const std::size_t take = std::min<std::size_t>(
+            ppns.size() - i, entriesPerTable - vpn(va, 0));
+        for (std::size_t k = 0; k < take; ++k, ++i, va += pageSize) {
+            std::uint8_t *leaf = ptes + vpn(va, 0) * 8;
+            panicIf(PhysicalMemory::load64(leaf) & PteValid,
+                    "double map of va ", va);
+            PhysicalMemory::store64(leaf, makeLeaf(ppns[i], perms, key_id));
+        }
+    }
 }
 
 WalkResult
@@ -119,11 +128,33 @@ PageTable::walk(Addr va) const
 bool
 PageTable::unmap(Addr va)
 {
-    WalkResult res = walk(va);
-    if (!res.valid)
-        return false;
-    unmapLeaf(res.pteAddr);
-    return true;
+    return unmapRun(va, 1) == 1;
+}
+
+std::size_t
+PageTable::unmapRun(Addr va, std::size_t n)
+{
+    std::size_t removed = 0;
+    for (std::size_t i = 0; i < n;) {
+        const Addr table = leafTable(va, false);
+        const std::size_t take =
+            std::min<std::size_t>(n - i, entriesPerTable - vpn(va, 0));
+        i += take;
+        // A table never written holds no mapping.
+        if (table == 0 || !_mem->pageData(table)) {
+            va += take * pageSize;
+            continue;
+        }
+        std::uint8_t *ptes = _mem->pageDataForWrite(table);
+        for (std::size_t k = 0; k < take; ++k, va += pageSize) {
+            std::uint8_t *leaf = ptes + vpn(va, 0) * 8;
+            if (PhysicalMemory::load64(leaf) & PteValid) {
+                PhysicalMemory::store64(leaf, 0);
+                ++removed;
+            }
+        }
+    }
+    return removed;
 }
 
 bool

@@ -95,18 +95,14 @@ PhysicalMemory::read64Spanning(Addr addr) const
 {
     std::uint8_t buf[8];
     read(addr, buf, 8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | buf[i];
-    return v;
+    return load64(buf);
 }
 
 void
 PhysicalMemory::write64Spanning(Addr addr, std::uint64_t value)
 {
     std::uint8_t buf[8];
-    for (int i = 0; i < 8; ++i)
-        buf[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    store64(buf, value);
     write(addr, buf, 8);
 }
 

@@ -79,11 +79,7 @@ class PhysicalMemory
             const Page *page = pageForRead(addr);
             if (!page)
                 return 0; // untouched page reads as zero
-            const std::uint8_t *b = page->data() + in_page;
-            std::uint64_t v = 0;
-            for (int i = 7; i >= 0; --i)
-                v = (v << 8) | b[i]; // folds into one little-endian load
-            return v;
+            return load64(page->data() + in_page);
         }
         return read64Spanning(addr);
     }
@@ -95,12 +91,50 @@ class PhysicalMemory
         if (in_page <= pageSize - 8) {
             panicIf(!containsRange(addr, 8),
                     "physical write out of range: ", addr, "+", Addr(8));
-            std::uint8_t *b = pageFor(addr).data() + in_page;
-            for (int i = 0; i < 8; ++i)
-                b[i] = static_cast<std::uint8_t>(value >> (8 * i));
+            store64(pageFor(addr).data() + in_page, value);
             return;
         }
         write64Spanning(addr, value);
+    }
+
+    /**
+     * The bytes of the page at @p page_base, for loops over many
+     * words of one page (the PTEs of a leaf table): nullptr when the
+     * page was never written, which reads as zero. Valid until the
+     * page is next zeroed whole.
+     */
+    const std::uint8_t *
+    pageData(Addr page_base) const
+    {
+        checkPage(page_base);
+        const Page *page = pageForRead(page_base);
+        return page ? page->data() : nullptr;
+    }
+
+    /** pageData() that materializes the page for writing. */
+    std::uint8_t *
+    pageDataForWrite(Addr page_base)
+    {
+        checkPage(page_base);
+        return pageFor(page_base).data();
+    }
+
+    /** The little-endian word at @p b (folds into one load). */
+    static std::uint64_t
+    load64(const std::uint8_t *b)
+    {
+        std::uint64_t v = 0;
+        for (int i = 7; i >= 0; --i)
+            v = (v << 8) | b[i];
+        return v;
+    }
+
+    /** Store @p value little-endian at @p b. */
+    static void
+    store64(std::uint8_t *b, std::uint64_t value)
+    {
+        for (int i = 0; i < 8; ++i)
+            b[i] = static_cast<std::uint8_t>(value >> (8 * i));
     }
 
     /** Zero a region (page scrubbing on free/alloc). */
@@ -145,6 +179,14 @@ class PhysicalMemory
         if (_lookupPage[slot] && _lookupBase[slot] == page_base)
             return _lookupPage[slot];
         return pageForReadSlow(page_base);
+    }
+
+    void
+    checkPage(Addr page_base) const
+    {
+        panicIf(page_base % pageSize != 0 ||
+                    !containsRange(page_base, pageSize),
+                "physical page out of range: ", page_base);
     }
 
     Page &pageForSlow(Addr page_base);

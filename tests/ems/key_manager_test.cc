@@ -98,6 +98,36 @@ TEST(KeyManager, SharedMemoryKeyBindsSenderAndShm)
     EXPECT_EQ(km.sharedMemoryKey(3, 7), km.sharedMemoryKey(3, 7));
 }
 
+/**
+ * Every derivation is pinned to the bytes it produced before the PRK
+ * was cached: caching is a host-speed change, never a key change.
+ */
+TEST(KeyManager, DerivedKeysArePinned)
+{
+    KeyManager km(testFuse(1));
+    const Bytes meas(32, 0x42);
+    EXPECT_EQ(toHex(km.memoryKey(meas)), "579eac3d18b4d9b8182def819ea71d9c");
+    EXPECT_EQ(toHex(km.memoryKey(Bytes{1, 0, 0, 0})),
+              "3dd2cb90e7585f00bf74d3ddc10c9a51");
+    EXPECT_EQ(toHex(km.sealingKey(meas)),
+              "0dd8154f0aca27982e87191f30c61b61"
+              "4c8ae37a5dab4f2b103b1bb904b20a4b");
+    EXPECT_EQ(toHex(km.sealingKey(Bytes(100, 0x5a))),
+              "fbf1a7e5ed99f5771a766f85a733de78"
+              "48f6233369bfebaaee17b6a10bece9f5");
+    EXPECT_EQ(toHex(km.reportKey(meas)),
+              "0b37e0dd16219823b586068adab0ace4"
+              "a3c38210dc70d307528875dd1f7a3815");
+    EXPECT_EQ(toHex(km.attestationKeySeed(bytesFromString("salt-a"))),
+              "a50033f206df30188ccdd6fcf693a241"
+              "10ed8b0f96e7a1c3cd42bd0d0654a918");
+    EXPECT_EQ(toHex(km.sharedMemoryKey(7, 11)),
+              "9e0fe56d02e7b70a55df24c16238cd41");
+    // A copy derives the same keys.
+    KeyManager copy = km;
+    EXPECT_EQ(copy.memoryKey(meas), km.memoryKey(meas));
+}
+
 TEST(KeyManagerDeath, RejectsShortFuseKeys)
 {
     EFuse bad;

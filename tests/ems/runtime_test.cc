@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "ems/runtime.hh"
@@ -121,6 +122,18 @@ struct RuntimeFixture : ::testing::Test
         st.poolFree = rt->pool().freePages();
         st.boundKeys = enc.usedSlots();
         return st;
+    }
+
+    /** The bytes of every frame of the enclave's page table. */
+    Bytes
+    tableBytes(EnclaveId id)
+    {
+        Bytes out;
+        for (Addr frame : rt->enclavePageTable(id)->tableFrames()) {
+            Bytes b = csMem.readBytes(frame, pageSize);
+            out.insert(out.end(), b.begin(), b.end());
+        }
+        return out;
     }
 
     std::uint64_t reqId = 0;
@@ -624,6 +637,199 @@ TEST_F(RuntimeFixture, CreateOutOfMemoryLeavesNothingBehind)
     // The pool is whole: a normal ECREATE still fits.
     r = invoke(PrimitiveOp::ECreate, PrivMode::Supervisor, {4, 8, 0});
     EXPECT_EQ(r.status, PrimStatus::Ok);
+}
+
+TEST_F(RuntimeFixture, ShmGetOutOfMemoryLeavesNothingBehind)
+{
+    // The pool holds 40 frames and the OS grants no more; a 64-page
+    // region cannot be drawn, and the reject must hand back the 40
+    // frames it did draw and its KeyID.
+    EnclaveId holder = makeMeasuredEnclave(); // maxShmPages = 64
+    osPagesLeft = 0;
+    rt->pool().allocate(rt->pool().freePages() - 40);
+    ASSERT_EQ(rt->pool().freePages(), 40u);
+    MemoryState before = memoryState(holder, {});
+    PrimitiveResponse r = invoke(PrimitiveOp::EShmGet, PrivMode::User,
+                                 {64, PteRead | PteWrite}, holder);
+    EXPECT_EQ(r.status, PrimStatus::OutOfMemory);
+    EXPECT_TRUE(memoryState(holder, {}) == before);
+    EXPECT_EQ(rt->pool().freePages(), 40u);
+
+    // The frames are back in the pool: a region that fits succeeds.
+    r = invoke(PrimitiveOp::EShmGet, PrivMode::User,
+               {40, PteRead | PteWrite}, holder);
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    EXPECT_EQ(rt->shm(static_cast<ShmId>(r.results.at(0)))->pages.size(),
+              40u);
+}
+
+TEST_F(RuntimeFixture, ShmAttachQuotaCountsAttachedPages)
+{
+    // maxShmPages = 64: one 63-page region and one 1-page region fit,
+    // a second 1-page region does not (the old per-region estimate
+    // let 62 of them through).
+    EnclaveId id = makeMeasuredEnclave();
+    auto create = [&](std::uint64_t pages) {
+        PrimitiveResponse r = invoke(PrimitiveOp::EShmGet, PrivMode::User,
+                                     {pages, PteRead | PteWrite}, id);
+        EXPECT_EQ(r.status, PrimStatus::Ok);
+        return r.results.at(0);
+    };
+    auto attach = [&](std::uint64_t shm) {
+        return invoke(PrimitiveOp::EShmAt, PrivMode::User,
+                      {shm, PteRead | PteWrite}, id)
+            .status;
+    };
+    const std::uint64_t big = create(63);
+    ASSERT_EQ(attach(big), PrimStatus::Ok);
+    std::size_t attached_small = 0;
+    std::vector<std::uint64_t> smalls;
+    for (int i = 0; i < 62; ++i) {
+        smalls.push_back(create(1));
+        attached_small += attach(smalls.back()) == PrimStatus::Ok;
+    }
+    EXPECT_EQ(attached_small, 1u);
+    EXPECT_EQ(rt->enclave(id)->attachedShmPages, 64u);
+    EXPECT_EQ(rt->enclave(id)->attachedShm.size(), 2u);
+
+    // ESHMDT gives the pages back to the quota.
+    ASSERT_EQ(invoke(PrimitiveOp::EShmDt, PrivMode::User, {big}, id).status,
+              PrimStatus::Ok);
+    EXPECT_EQ(rt->enclave(id)->attachedShmPages, 1u);
+    EXPECT_EQ(attach(smalls.back()), PrimStatus::Ok);
+    EXPECT_EQ(rt->enclave(id)->attachedShmPages, 2u);
+}
+
+TEST_F(RuntimeFixture, DoubleMapRequestsAreRejectedUntouched)
+{
+    PrimitiveResponse r = invoke(PrimitiveOp::ECreate, PrivMode::Supervisor,
+                                 {4, 8, 64});
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    const EnclaveId id = static_cast<EnclaveId>(r.results.at(0));
+    const Bytes code(pageSize, 0x90);
+    const std::vector<std::uint64_t> add = {id, EnclaveLayout::codeBase,
+                                            PteRead | PteExec};
+    ASSERT_EQ(invoke(PrimitiveOp::EAdd, PrivMode::Supervisor, add, 0, code)
+                  .status,
+              PrimStatus::Ok);
+
+    auto state = [&] {
+        return std::make_tuple(memoryState(id, {EnclaveLayout::codeBase}),
+                               tableBytes(id),
+                               rt->enclave(id)->measuredBytes);
+    };
+    const auto before = state();
+    auto expect_reject = [&](PrimitiveResponse resp, PrimStatus want,
+                             const char *what) {
+        EXPECT_EQ(resp.status, want) << what;
+        EXPECT_TRUE(state() == before) << what;
+    };
+
+    // A second EADD to a mapped VA, with different contents.
+    expect_reject(invoke(PrimitiveOp::EAdd, PrivMode::Supervisor, add, 0,
+                         Bytes(pageSize, 0xcc)),
+                  PrimStatus::AlreadyExists, "EADD over a mapped page");
+    expect_reject(invoke(PrimitiveOp::EAdd, PrivMode::Supervisor,
+                         {id, PageTable::vaSpace, PteRead}, 0, code),
+                  PrimStatus::InvalidArgument, "EADD past the VA space");
+
+    // EALLOC with an explicit VA: over the initial heap (8 pages at
+    // heapBase), straddling the top of the 39-bit space, and wrapping.
+    ASSERT_EQ(invoke(PrimitiveOp::EMeas, PrivMode::Supervisor, {id}).status,
+              PrimStatus::Ok);
+    const auto measured = state();
+    ASSERT_EQ(invoke(PrimitiveOp::EEnter, PrivMode::Supervisor, {id}).status,
+              PrimStatus::Ok);
+    auto alloc = [&](std::uint64_t n, Addr va) {
+        return invoke(PrimitiveOp::EAlloc, PrivMode::User, {n, va}, id);
+    };
+    auto expect_alloc_reject = [&](std::uint64_t n, Addr va, PrimStatus want,
+                                   const char *what) {
+        EXPECT_EQ(alloc(n, va).status, want) << what;
+        EXPECT_TRUE(state() == measured) << what;
+    };
+    expect_alloc_reject(4, EnclaveLayout::heapBase + 6 * pageSize,
+                        PrimStatus::AlreadyExists, "overlaps the heap");
+    expect_alloc_reject(600, EnclaveLayout::heapBase - 590 * pageSize,
+                        PrimStatus::AlreadyExists, "ends inside the heap");
+    expect_alloc_reject(4, PageTable::vaSpace - 2 * pageSize,
+                        PrimStatus::InvalidArgument, "leaves the VA space");
+    expect_alloc_reject(4, ~Addr(0) - pageSize + 1,
+                        PrimStatus::InvalidArgument, "wraps");
+
+    // The same primitives on free ranges still succeed, up to the last
+    // page of the VA space.
+    EXPECT_EQ(alloc(4, PageTable::vaSpace - 4 * pageSize).status,
+              PrimStatus::Ok);
+    EXPECT_EQ(alloc(4, EnclaveLayout::heapBase + 8 * pageSize).status,
+              PrimStatus::Ok);
+}
+
+TEST_F(RuntimeFixture, ShmAttachPastTheWindowRejectsInsteadOfPanicking)
+{
+    // ESHMAT's VA cursor never moves back. The shared-memory window
+    // below the stack holds 1023 regions of 64 pages; the next attach
+    // would map over the stack and must be refused untouched.
+    EnclaveId id = makeMeasuredEnclave(); // 4 stack pages
+    PrimitiveResponse r = invoke(PrimitiveOp::EShmGet, PrivMode::User,
+                                 {64, PteRead | PteWrite}, id);
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    const std::uint64_t shm = r.results.at(0);
+    std::size_t attaches = 0;
+    PrimStatus status = PrimStatus::Ok;
+    while (attaches < 2000) {
+        status = invoke(PrimitiveOp::EShmAt, PrivMode::User,
+                        {shm, PteRead | PteWrite}, id)
+                     .status;
+        if (status != PrimStatus::Ok)
+            break;
+        ++attaches;
+        ASSERT_EQ(invoke(PrimitiveOp::EShmDt, PrivMode::User, {shm}, id)
+                      .status,
+                  PrimStatus::Ok);
+    }
+    EXPECT_EQ(attaches, 1023u);
+    EXPECT_EQ(status, PrimStatus::AlreadyExists);
+    EXPECT_EQ(rt->enclave(id)->attachedShmPages, 0u);
+    EXPECT_TRUE(rt->enclave(id)->attachedShm.empty());
+    EXPECT_TRUE(rt->shm(static_cast<ShmId>(shm))->attached.empty());
+    // The stack is still mapped to the enclave's own frames.
+    const WalkResult stack = rt->enclavePageTable(id)->walk(
+        EnclaveLayout::stackTop - pageSize);
+    ASSERT_TRUE(stack.valid);
+    EXPECT_TRUE(rt->ownership().ownedBy(pageNumber(stack.pa), id));
+    EXPECT_EQ(rt->ownership().lookup(pageNumber(stack.pa))->kind,
+              PageKind::Private);
+}
+
+TEST_F(RuntimeFixture, RejectedEaddLeavesTheMeasurementAlone)
+{
+    // Two enclaves see the same accepted EADDs; one also sees a
+    // rejected duplicate. Their measurements must match.
+    const Bytes code(pageSize, 0x90);
+    std::vector<Bytes> measurements;
+    for (bool duplicate : {false, true}) {
+        PrimitiveResponse r = invoke(PrimitiveOp::ECreate,
+                                     PrivMode::Supervisor, {4, 8, 64});
+        ASSERT_EQ(r.status, PrimStatus::Ok);
+        const EnclaveId id = static_cast<EnclaveId>(r.results.at(0));
+        const std::vector<std::uint64_t> add = {
+            id, EnclaveLayout::codeBase, PteRead | PteExec};
+        ASSERT_EQ(invoke(PrimitiveOp::EAdd, PrivMode::Supervisor, add, 0,
+                         code)
+                      .status,
+                  PrimStatus::Ok);
+        if (duplicate) {
+            ASSERT_EQ(invoke(PrimitiveOp::EAdd, PrivMode::Supervisor, add,
+                             0, Bytes(pageSize, 0x11))
+                          .status,
+                      PrimStatus::AlreadyExists);
+        }
+        r = invoke(PrimitiveOp::EMeas, PrivMode::Supervisor, {id});
+        ASSERT_EQ(r.status, PrimStatus::Ok);
+        measurements.push_back(r.payload);
+    }
+    EXPECT_EQ(measurements[0], measurements[1]);
 }
 
 TEST_F(RuntimeFixture, DestroyScrubsEverything)

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/bitmap.hh"
 #include "mem/phys_mem.hh"
+#include "sim/random.hh"
 
 namespace hypertee
 {
@@ -85,6 +88,54 @@ TEST_F(BitmapTest, RegionSizeMatchesMemory)
     // 1 bit per 4 KiB page: 32 MiB -> 8192 pages -> 1024 bytes,
     // rounded up to one whole page.
     EXPECT_EQ(bm.regionSize(), pageSize);
+}
+
+/**
+ * The batched setter against setEnclavePage() per entry, over seeded
+ * lists that mix runs inside one word, runs across words, scattered
+ * pages, repeats and the last page: the same bitmap bytes, updates()
+ * and enclavePageCount(), and a return value that counts the flips.
+ */
+TEST(BitmapBatch, MatchesPerBitSetter)
+{
+    PhysicalMemory batch_mem(kBase, kSize), bit_mem(kBase, kSize);
+    EnclaveBitmap batch(&batch_mem, kBase), bit(&bit_mem, kBase);
+    const Addr first = pageNumber(kBase);
+    const Addr pages = kSize >> pageShift;
+    Random rng(0xb17b17);
+    for (int op = 0; op < 300; ++op) {
+        std::vector<Addr> ppns;
+        const std::size_t parts = 1 + rng.below(6);
+        for (std::size_t p = 0; p < parts; ++p) {
+            const Addr start = first + rng.below(pages);
+            const std::size_t len = rng.below(4) == 0 ? 1 : 1 + rng.below(200);
+            for (std::size_t i = 0; i < len && start + i < first + pages; ++i)
+                ppns.push_back(start + i);
+            if (rng.below(4) == 0)
+                ppns.push_back(ppns[rng.below(ppns.size())]); // a repeat
+        }
+        if (op % 50 == 0)
+            ppns.push_back(first + pages - 1);
+        const bool enclave = rng.below(3) != 0;
+
+        std::uint64_t flips = 0;
+        for (Addr ppn : ppns)
+            flips += bit.setEnclavePage(ppn, enclave);
+        ASSERT_EQ(batch.setEnclavePages(ppns, enclave), flips) << "op " << op;
+        ASSERT_EQ(batch.updates(), bit.updates());
+        ASSERT_EQ(batch.enclavePageCount(), bit.enclavePageCount());
+    }
+    EXPECT_GT(bit.enclavePageCount(), 1000u);
+    EXPECT_EQ(batch_mem.readBytes(kBase, batch.regionSize()),
+              bit_mem.readBytes(kBase, bit.regionSize()));
+}
+
+TEST(BitmapDeath, BatchOutsideMemoryPanics)
+{
+    PhysicalMemory mem(kBase, kSize);
+    EnclaveBitmap bm(&mem, kBase);
+    const std::vector<Addr> ppns = {pageNumber(kBase + kSize)};
+    EXPECT_DEATH(bm.setEnclavePages(ppns, true), "outside");
 }
 
 TEST(BitmapDeath, LookupOutsideMemoryPanics)

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "mem/page_table.hh"
 #include "mem/phys_mem.hh"
+#include "sim/random.hh"
 
 namespace hypertee
 {
@@ -160,6 +162,123 @@ TEST_F(PageTableTest, DoubleMapPanics)
     pt.map(0x4000'0000, kBase + pageSize, PteRead);
     EXPECT_DEATH(pt.map(0x4000'0000, kBase + 2 * pageSize, PteRead),
                  "double map");
+}
+
+TEST_F(PageTableTest, WalkRunReportsMissingTablesAsUnmapped)
+{
+    PageTable pt(&mem, allocator());
+    pt.map(0x4000'0000 + 3 * pageSize, kBase + 7 * pageSize, PteRead, 5);
+    std::vector<std::uint64_t> ptes;
+    bool all = pt.walkRun(0x4000'0000, 4, [&](std::size_t i, std::uint64_t pte) {
+        EXPECT_EQ(i, ptes.size());
+        ptes.push_back(pte);
+        return true;
+    });
+    EXPECT_TRUE(all);
+    ASSERT_EQ(ptes.size(), 4u);
+    EXPECT_FALSE(PageTable::leafValid(ptes[0]));
+    ASSERT_TRUE(PageTable::leafValid(ptes[3]));
+    EXPECT_EQ(PageTable::leafPpn(ptes[3]), pageNumber(kBase) + 7);
+
+    // A range no leaf table covers reads as zero PTEs and allocates
+    // nothing; the visitor can stop the walk.
+    const std::size_t frames = pt.tableFrames().size();
+    std::size_t visited = 0;
+    EXPECT_FALSE(pt.walkRun(0x7000'0000, 1000, [&](std::size_t, std::uint64_t pte) {
+        EXPECT_EQ(pte, 0u);
+        return ++visited < 600;
+    }));
+    EXPECT_EQ(visited, 600u);
+    EXPECT_EQ(pt.tableFrames().size(), frames);
+}
+
+/**
+ * mapRun/unmapRun/walkRun against per-page map/unmap/walk, over
+ * seeded random runs that cross leaf-table (2 MiB) and root (1 GiB)
+ * boundaries: the same page-table bytes, the same table frames in
+ * the same order, and the same frame-allocator calls.
+ */
+TEST(PageTableRuns, MatchPerPageCallsOverRandomRuns)
+{
+    struct Side
+    {
+        PhysicalMemory mem{kBase, kSize};
+        Addr next = kBase;
+        std::vector<Addr> calls; ///< frames handed out, in call order
+        PageTable pt{&mem, [this] {
+                         calls.push_back(next);
+                         next += pageSize;
+                         return calls.back();
+                     }};
+    };
+    Side run, page;
+    Random rng(0x7ab1e5);
+    // Anchors just below a root boundary, a leaf-table boundary, and
+    // inside one leaf table.
+    const Addr anchors[] = {0x4000'0000 - 700 * pageSize,
+                            0x1234'0000 - 3 * pageSize, 0x6000'0000};
+    std::set<Addr> mapped; // VAs the reference side has mapped
+    Addr next_ppn = pageNumber(kBase) + 4096;
+
+    for (int op = 0; op < 400; ++op) {
+        const Addr va = anchors[rng.below(3)] + rng.below(1600) * pageSize;
+        const std::size_t n = 1 + rng.below(1200);
+        if (rng.below(3) != 0) {
+            bool free_range = true;
+            for (std::size_t i = 0; i < n && free_range; ++i)
+                free_range = !mapped.count(va + i * pageSize);
+            if (!free_range)
+                continue;
+            std::vector<Addr> ppns(n);
+            for (Addr &ppn : ppns)
+                ppn = next_ppn++;
+            const std::uint64_t perms =
+                PteRead | (rng.below(2) ? std::uint64_t(PteWrite) : 0);
+            const KeyId key = static_cast<KeyId>(rng.below(60));
+            run.pt.mapRun(va, ppns, perms, key);
+            for (std::size_t i = 0; i < n; ++i) {
+                page.pt.map(va + i * pageSize, ppns[i] << pageShift, perms,
+                            key);
+                mapped.insert(va + i * pageSize);
+            }
+        } else {
+            std::size_t removed = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                removed += page.pt.unmap(va + i * pageSize);
+                mapped.erase(va + i * pageSize);
+            }
+            ASSERT_EQ(run.pt.unmapRun(va, n), removed) << "op " << op;
+        }
+
+        // walkRun sees what per-page walk() sees.
+        const Addr probe = anchors[rng.below(3)] + rng.below(1600) * pageSize;
+        const std::size_t len = 1 + rng.below(1200);
+        run.pt.walkRun(probe, len, [&](std::size_t i, std::uint64_t pte) {
+            const WalkResult w = page.pt.walk(probe + i * pageSize);
+            EXPECT_EQ(PageTable::leafValid(pte), w.valid);
+            if (w.valid) {
+                EXPECT_EQ(PageTable::leafPpn(pte), pageNumber(w.pa));
+            }
+            return true;
+        });
+    }
+    ASSERT_FALSE(mapped.empty());
+    EXPECT_EQ(run.calls, page.calls);
+    ASSERT_EQ(run.pt.tableFrames(), page.pt.tableFrames());
+    EXPECT_GT(run.pt.tableFrames().size(), 8u) << "runs must span tables";
+    for (Addr frame : run.pt.tableFrames()) {
+        EXPECT_EQ(run.mem.readBytes(frame, pageSize),
+                  page.mem.readBytes(frame, pageSize))
+            << "table frame " << frame;
+    }
+}
+
+TEST_F(PageTableTest, MapRunDoubleMapPanics)
+{
+    PageTable pt(&mem, allocator());
+    pt.map(0x4000'0000 + 5 * pageSize, kBase + pageSize, PteRead);
+    const std::vector<Addr> ppns = {10, 11, 12, 13, 14, 15, 16, 17};
+    EXPECT_DEATH(pt.mapRun(0x4000'0000, ppns, PteRead), "double map");
 }
 
 } // namespace

@@ -805,6 +805,22 @@ TEST(HtlintSecretFlow, AcceptsNeutralFactsAndMacTags)
                     .empty());
 }
 
+TEST(HtlintSecretFlow, FlagsCachedPrkThroughMemberCall)
+{
+    auto flows = secretFlows(
+        lintAs({{"secret_flow_prk_bad.cc", "src/ems/prk_bad.cc"}}));
+    ASSERT_EQ(flows.size(), 1u);
+    EXPECT_NE(flows[0].message.find("'_prkMac'"), std::string::npos);
+    EXPECT_NE(flows[0].message.find("log"), std::string::npos);
+}
+
+TEST(HtlintSecretFlow, AcceptsSizesOfKeysFromCachedPrk)
+{
+    EXPECT_TRUE(secretFlows(lintAs({{"secret_flow_prk_good.cc",
+                                     "src/ems/prk_good.cc"}}))
+                    .empty());
+}
+
 TEST(HtlintSecretFlow, FlagsKeyBytesSampledIntoStats)
 {
     auto flows = secretFlows(lintAs(

@@ -46,9 +46,10 @@ report(std::vector<Diagnostic> &out, const SourceFile &f, int line,
 bool
 isAccessMethod(const std::string &s)
 {
-    static const std::array<const char *, 7> names = {
-        "read",      "write",      "zero",   "read64",
-        "write64",   "readBytes",  "writeBytes"};
+    static const std::array<const char *, 9> names = {
+        "read",      "write",      "zero",     "read64",
+        "write64",   "readBytes",  "writeBytes", "pageData",
+        "pageDataForWrite"};
     return std::find_if(names.begin(), names.end(), [&](const char *n) {
                return s == n;
            }) != names.end();
@@ -60,7 +61,8 @@ isMediationGuard(const std::string &s)
     return s == "overlapsRange" || s == "containsRange" ||
            s == "isEnclavePage" || s == "isEnclaveAddr" ||
            s == "csAccessAllowed" || s == "setEnclavePage" ||
-           s == "setBitmapBit" || s == "EnclaveBitmap";
+           s == "setEnclavePages" || s == "setBitmapBit" ||
+           s == "setBitmapBits" || s == "EnclaveBitmap";
 }
 
 bool
@@ -135,6 +137,7 @@ rangeHasGuard(const SourceFile &f, std::size_t open, std::size_t close)
         if (isMediationGuard(g.text))
             return true;
         if ((g.text == "claim" || g.text == "release" ||
+             g.text == "claimAll" || g.text == "releaseAll" ||
              g.text == "ownedBy") &&
             k >= 2 &&
             (toks[k - 1].text == "." || toks[k - 1].text == "->") &&

@@ -35,7 +35,7 @@ sourceNames()
         "sealedKey",        "endorsementSeed", "memoryKey",
         "sealingKey",       "reportKey",       "attestationKeySeed",
         "sharedMemoryKey",  "_sealedKey",      "_endorsementSeed",
-        "attestationKey",   "_endorsementKey",
+        "attestationKey",   "_endorsementKey", "_prkMac",
     };
     return names;
 }
@@ -755,6 +755,15 @@ SecretFlowAnalysis::scanConc(int fn_idx, int file_idx,
                                member + "'");
                     return p;
                 }
+            }
+            // A secret field used through a member call or access
+            // (`_prkMac.tag(...)`) is as secret as the field.
+            if (t.text[0] == '_' && sourceNames().count(t.text) &&
+                !neutralMembers().count(member)) {
+                Prov p;
+                append(p, f.relPath(), t.line,
+                       "secret source '" + t.text + "'");
+                return p;
             }
             auto recv = lookupTaint(fn_idx, t.text, false);
             if (recv) {
